@@ -39,9 +39,23 @@ class AttackOutcome:
     final_label: float
 
 
+# Single-flip variants evaluated per chunk of rows: a chunk holds
+# _CHUNK_VARIANTS // n rows, so peak memory stays bounded whatever the batch.
+_CHUNK_VARIANTS = 4096
+
+
 def _loss(net: BinaryMlp, X: np.ndarray, y) -> np.ndarray:
     """Logistic loss of the prediction margin against label y."""
     return np.logaddexp(0.0, -np.asarray(y) * net.margin(X))
+
+
+def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Loss increase from flipping each single coordinate of each row of X."""
+    m, n = X.shape
+    variants = np.repeat(X, n, axis=0)
+    flat, cols = np.arange(m * n), np.tile(np.arange(n), m)
+    variants[flat, cols] = -variants[flat, cols]
+    return (_loss(net, variants, np.repeat(y, n)) - np.repeat(_loss(net, X, y), n)).reshape(m, n)
 
 
 def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
@@ -49,108 +63,98 @@ def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.n,):
         raise DimensionError(f"x has shape {x.shape}, expected ({net.n},)")
-    base = float(_loss(net, x[None, :], y)[0])
-    variants = np.tile(x, (net.n, 1))
-    idx = np.arange(net.n)
-    variants[idx, idx] = -variants[idx, idx]
-    return _loss(net, variants, y) - base
+    return _impacts(net, x[None, :], np.array([y], dtype=np.float64))[0]
+
+
+def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy highest-impact bit-flip path of every row of X against labels y.
+
+    Each round flips, in every row, the not yet flipped coordinate whose
+    single flip raises the loss most, ties toward the lowest index, for
+    min(k, n) rounds. Each choice depends only on the current row and the
+    coordinates already flipped, so the path to k flips serves every smaller
+    budget. Returns (order, changed): order[i] is row i's flip sequence,
+    padded with -1 once the row stops; changed[i] is the number of flips after
+    which the prediction first differs from the row's clean prediction, 0 if
+    it never does. With stop_on_change a row stops at that flip.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise DimensionError(f"X has shape {X.shape}, expected (m, {net.n})")
+    m, n = X.shape
+    rounds = max(0, min(k, n))
+    order = np.full((m, rounds), -1, dtype=np.intp)
+    changed = np.zeros(m, dtype=np.intp)
+    step = max(1, _CHUNK_VARIANTS // n)
+    for lo in range(0, m, step):
+        Z, yc = X[lo : lo + step].copy(), y[lo : lo + step]
+        clean = net.predict(Z)
+        flipped = np.zeros(Z.shape, dtype=bool)
+        live = np.arange(len(Z))
+        for r in range(rounds):
+            impacts = _impacts(net, Z[live], yc[live])
+            impacts[flipped[live]] = -np.inf
+            best = np.argmax(impacts, axis=1)
+            Z[live, best] = -Z[live, best]
+            flipped[live, best] = True
+            order[lo + live, r] = best
+            first = (net.predict(Z[live]) != clean[live]) & (changed[lo + live] == 0)
+            changed[lo + live[first]] = r + 1
+            if stop_on_change:
+                live = live[~first]
+                if not live.size:
+                    break
+    return order, changed
 
 
 def jsma(net: BinaryMlp, x, y: float, budget: AttackBudget) -> AttackOutcome:
     """Greedy highest-impact bit flipping until the model's own prediction
     changes or the budget is exhausted; coordinates are never re-flipped,
     ties break toward the lowest index."""
-    x = np.asarray(x, dtype=np.float64).copy()
-    orig = float(net.predict(x[None, :])[0])
-    flips: list[int] = []
-    for _ in range(budget.max_flips):
-        impacts = flip_impact(net, x, y)
-        if flips:
-            impacts[flips] = -np.inf
-        i = int(np.argmax(impacts))
-        x[i] = -x[i]
-        flips.append(i)
-        label = float(net.predict(x[None, :])[0])
-        if label != orig:
-            return AttackOutcome(True, tuple(flips), 2.0 * len(flips), label)
-    return AttackOutcome(False, tuple(flips), 2.0 * len(flips), float(net.predict(x[None, :])[0]))
-
-
-def jsma_maxloss(net: BinaryMlp, x, y: float, k: int) -> np.ndarray:
-    """Flip exactly min(k, n) coordinates in greedy impact order, regardless
-    of misclassification; returns the perturbed input."""
-    x = np.asarray(x, dtype=np.float64).copy()
-    flips: list[int] = []
-    for _ in range(min(k, net.n)):
-        impacts = flip_impact(net, x, y)
-        if flips:
-            impacts[flips] = -np.inf
-        i = int(np.argmax(impacts))
-        x[i] = -x[i]
-        flips.append(i)
-    return x
+    x = np.asarray(x, dtype=np.float64)
+    order, changed = greedy_flips(net, x[None, :], [y], budget.max_flips, stop_on_change=True)
+    flips = order[0][order[0] >= 0]
+    z = x.copy()
+    z[flips] = -z[flips]
+    label = float(net.predict(z[None, :])[0])
+    return AttackOutcome(bool(changed[0]), tuple(int(i) for i in flips), 2.0 * len(flips), label)
 
 
 def jsma_maxloss_batch(net: BinaryMlp, X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise jsma_maxloss, vectorized across the batch.
-
-    Each round evaluates all single-flip variants of every row at once; the
-    greedy path per row is identical to the scalar version.
-    """
-    X = np.asarray(X, dtype=np.float64).copy()
-    y = np.asarray(y, dtype=np.float64)
-    m, n = X.shape
-    if k <= 0:
-        return X
-    flipped = np.zeros((m, n), dtype=bool)
-    rows = np.arange(m)
-    for _ in range(min(k, n)):
-        base = _loss(net, X, y)
-        variants = np.repeat(X, n, axis=0)
-        cols = np.tile(np.arange(n), m)
-        flat = np.arange(m * n)
-        variants[flat, cols] = -variants[flat, cols]
-        impacts = (_loss(net, variants, np.repeat(y, n)) - np.repeat(base, n)).reshape(m, n)
-        impacts[flipped] = -np.inf
-        best = np.argmax(impacts, axis=1)
-        X[rows, best] = -X[rows, best]
-        flipped[rows, best] = True
-    return X
+    """Flip exactly min(k, n) coordinates of every row in greedy impact
+    order, regardless of misclassification; returns the perturbed inputs."""
+    order, _ = greedy_flips(net, X, y, k, stop_on_change=False)
+    Z = np.array(X, dtype=np.float64)
+    np.put_along_axis(Z, order, -np.take_along_axis(Z, order, axis=1), axis=1)
+    return Z
 
 
 def robust_accuracy(net: BinaryMlp, data: LabeledDataset, budget: AttackBudget) -> float:
     """Fraction of examples both correctly classified clean and unbroken by
     the greedy attack within budget."""
-    preds = net.predict(data.X)
-    robust = 0
-    for i in range(data.m):
-        if preds[i] != data.y[i]:
-            continue
-        if not jsma(net, data.X[i], data.y[i], budget).success:
-            robust += 1
-    return robust / data.m
+    return attack_curve(net, data, [budget.epsilon_l1])[0][2]
 
 
 def attack_curve(net: BinaryMlp, data: LabeledDataset, epsilons) -> list[tuple[float, float, float, float]]:
     """Per-epsilon (epsilon, clean accuracy, robust accuracy, mean l1 cost of
-    successful attacks; nan when none succeed)."""
-    preds = net.predict(data.X)
-    clean = float(np.mean(preds == data.y))
+    successful attacks; nan when none succeed).
+
+    One greedy run on the correctly classified examples, up to the largest
+    budget, gives every epsilon: a row is broken within a budget iff its
+    label changes within that many flips.
+    """
+    budgets = [AttackBudget(float(eps)) for eps in epsilons]
+    correct = net.predict(data.X) == data.y
+    k = max((b.max_flips for b in budgets), default=0)
+    _, changed = greedy_flips(net, data.X[correct], data.y[correct], k, stop_on_change=True)
+    clean = float(np.mean(correct))
     out = []
-    for eps in epsilons:
-        budget = AttackBudget(float(eps))
-        robust = 0
-        costs = []
-        for i in range(data.m):
-            if preds[i] != data.y[i]:
-                continue
-            outcome = jsma(net, data.X[i], data.y[i], budget)
-            if outcome.success:
-                costs.append(outcome.l1_cost)
-            else:
-                robust += 1
-        mean_cost = float(np.mean(costs)) if costs else float("nan")
-        out.append((float(eps), clean, robust / data.m, mean_cost))
+    for b in budgets:
+        broken = (changed > 0) & (changed <= b.max_flips)
+        robust = (int(np.sum(correct)) - int(np.sum(broken))) / data.m
+        mean_cost = float(np.mean(2.0 * changed[broken])) if broken.any() else float("nan")
+        out.append((b.epsilon_l1, clean, robust, mean_cost))
     return out
 
 

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import network, selection, uniformize
-from .attack import AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, jsma
+from .attack import AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ExactChow, MonteCarloChow, chow_exact, chow_mc
+from .fourier import ExactChow, MonteCarloChow
 from .network import (
     Activation,
     LabeledDataset,
@@ -135,7 +135,7 @@ def _prepend_header(path: str, header: str) -> None:
 
 
 def _gen_data_uniformize(args) -> int:
-    header = _config_header("gen-data", args, ["kind", "input", "seed"])
+    header = _config_header("gen-data", args, ["kind", "input", "labels", "seed"])
     raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
     if args.labels:
         labels = np.loadtxt(args.labels, ndmin=1)
@@ -205,10 +205,7 @@ def cmd_adv_train(args) -> int:
 def cmd_chow(args) -> int:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
-    if args.chow_mode == "exact":
-        est = chow_exact(ltf.handle(), net.n, cap=args.cap)
-    else:
-        est = chow_mc(ltf.handle(), net.n, args.chow_epsilon, args.chow_delta, args.chow_seed)
+    est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
     header = _config_header(
         "chow", args, ["model", "unit", "chow_mode", "chow_epsilon", "chow_delta", "chow_seed", "cap"]
     )
@@ -283,15 +280,15 @@ def cmd_attack(args) -> int:
     header = _config_header("attack", args, ["model", "data", "split", "epsilon"])
     lines = ["example,true_label,clean_label,success,l1_cost,flips"]
     preds = net.predict(data.X)
-    for i in range(data.m):
-        outcome = jsma(net, data.X[i], data.y[i], budget)
-        flips = ";".join(str(f) for f in outcome.flips)
+    order, changed = greedy_flips(net, data.X, data.y, budget.max_flips, stop_on_change=True)
+    for i, (path, success) in enumerate(zip(order, changed > 0)):
+        flips = path[path >= 0]
         lines.append(
-            f"{i},{int(data.y[i])},{int(preds[i])},{int(outcome.success)},"
-            f"{_FMT % outcome.l1_cost},{flips}"
+            f"{i},{int(data.y[i])},{int(preds[i])},{int(success)},"
+            f"{_FMT % (2.0 * len(flips))},{';'.join(str(f) for f in flips)}"
         )
     _write(args.out, header, lines)
-    n_success = sum(1 for ln in lines[1:] if ln.split(",")[3] == "1")
+    n_success = int(np.count_nonzero(changed))
     print(f"attacked {data.m} examples at epsilon={args.epsilon:g}: {n_success} successes")
     return EXIT_OK
 
@@ -315,10 +312,7 @@ def cmd_bounds(args) -> int:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
     p = _parse_p(args.p)
-    if args.chow_mode == "exact":
-        est = chow_exact(ltf.handle(), net.n, cap=args.cap)
-    else:
-        est = chow_mc(ltf.handle(), net.n, args.chow_epsilon, args.chow_delta, args.chow_seed)
+    est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
     if args.mus:
         mus = [float(m) for m in args.mus.split(",")]
     else:

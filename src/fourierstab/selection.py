@@ -247,7 +247,8 @@ def gmbc(
 
 
 def trace_to_csv(trace: SelectionTrace) -> str:
-    """One record per accepted step plus a summary line."""
+    """One record per accepted step, one '# warning: ' line per warning, and a
+    summary line of space-separated key=value tokens."""
     lines = ["index,delta_r,delta_a_raw,delta_a_clamped,accuracy_after,cumulative_proxy"]
     cum = 0.0
     for step in trace.steps:
@@ -256,8 +257,10 @@ def trace_to_csv(trace: SelectionTrace) -> str:
             f"{step.index},{step.delta_r:.17g},{step.delta_a_raw:.17g},"
             f"{step.delta_a_clamped:.17g},{step.accuracy_after:.17g},{cum:.17g}"
         )
+    lines += [f"# warning: {w}" for w in trace.warnings]
     lines.append(
         f"# summary accepted={len(trace.accepted)} proxy_total={trace.proxy_total:.17g} "
-        f"accuracy_evaluations={trace.accuracy_evaluations} warnings={len(trace.warnings)}"
+        f"accuracy_evaluations={trace.accuracy_evaluations} "
+        f"verification_evaluations={trace.verification_evaluations} warnings={len(trace.warnings)}"
     )
     return "\n".join(lines) + "\n"

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from fourierstab.attack import (
+    _CHUNK_VARIANTS,
     AdvTrainConfig,
     AttackBudget,
     adversarial_train,
     attack_curve,
     flip_impact,
+    greedy_flips,
     jsma,
-    jsma_maxloss,
     jsma_maxloss_batch,
     robust_accuracy,
 )
@@ -32,6 +33,35 @@ def ltf_net(w, theta=0.0):
 
 
 MAJ3_NET = ltf_net([1.0, 1.0, 1.0])
+
+
+def random_mlp(rng, n, t=5, act=Activation.TANH):
+    return BinaryMlp(
+        rng.normal(size=(t, n)), rng.normal(scale=0.5, size=t), act, rng.normal(size=t), 0.1, fresh_mask(t)
+    )
+
+
+def greedy_reference(net, x, y, k, stop_on_change=True):
+    """Scalar greedy loop on one row: (flips, changed) as the batched engine
+    defines them, with every single-flip loss computed on its own."""
+    x = np.array(x, dtype=np.float64)
+    clean = float(net.predict(x[None, :])[0])
+    loss = lambda z: float(np.logaddexp(0.0, -y * net.margin(z[None, :]))[0])
+    flips, changed = [], 0
+    for r in range(min(k, len(x))):
+        base, impacts = loss(x), np.empty(len(x))
+        for i in range(len(x)):
+            z = x.copy()
+            z[i] = -z[i]
+            impacts[i] = loss(z) - base
+        impacts[flips] = -np.inf
+        flips.append(int(np.argmax(impacts)))
+        x[flips[-1]] = -x[flips[-1]]
+        if not changed and float(net.predict(x[None, :])[0]) != clean:
+            changed = r + 1
+            if stop_on_change:
+                break
+    return flips, changed
 
 
 def min_flips_bruteforce(net, x, y, max_flips):
@@ -165,9 +195,46 @@ class TestJsma:
                     gaps += 1  # greedy suboptimality; reported, not asserted
         assert gaps <= trials  # always true; the gap rate is informational
 
+    def test_budget_beyond_n_never_reflips(self):
+        # sign(x1 + x2 + x3 + 10) is constant: every flip has zero impact and
+        # no flip changes the label, so the attack runs out of coordinates.
+        net = ltf_net([1.0, 1.0, 1.0], theta=-10.0)
+        out = jsma(net, np.array([1.0, 1.0, 1.0]), 1.0, AttackBudget(10.0))
+        assert not out.success
+        assert out.flips == (0, 1, 2)
+        assert out.l1_cost == 6.0 <= 2 * net.n
+
     def test_tie_break_lowest_index(self):
         out = jsma(MAJ3_NET, np.array([1.0, 1.0, 1.0]), 1.0, AttackBudget(4.0))
         assert out.flips == (0, 1)
+
+
+class TestGreedyFlips:
+    @pytest.mark.parametrize("stop_on_change", [True, False])
+    def test_matches_scalar_reference_across_chunks(self, rng, stop_on_change):
+        n = 8
+        m = _CHUNK_VARIANTS // n + 37  # more rows than one chunk holds
+        for act in (Activation.TANH, Activation.LOGISTIC, Activation.SIGN):
+            net = random_mlp(rng, n, act=act)
+            X = rng.choice([-1.0, 1.0], size=(m, n))
+            y = rng.choice([-1.0, 1.0], size=m)
+            order, changed = greedy_flips(net, X, y, 5, stop_on_change)
+            assert order.shape == (m, 5)
+            for i in range(m):
+                flips, first = greedy_reference(net, X[i], y[i], 5, stop_on_change)
+                assert list(order[i][: len(flips)]) == flips
+                assert np.all(order[i][len(flips) :] == -1)
+                assert changed[i] == first
+
+    def test_rounds_capped_at_n(self, rng):
+        net = random_mlp(rng, 4)
+        order, _ = greedy_flips(net, rng.choice([-1.0, 1.0], size=(6, 4)), np.ones(6), 9, False)
+        assert order.shape == (6, 4)
+        assert all(sorted(row) == [0, 1, 2, 3] for row in order)
+
+    def test_dimension_check(self):
+        with pytest.raises(DimensionError):
+            greedy_flips(MAJ3_NET, np.ones((2, 4)), np.ones(2), 1, True)
 
 
 class TestJsmaMaxloss:
@@ -175,18 +242,18 @@ class TestJsmaMaxloss:
         net = ltf_net(rng.normal(size=6))
         x = rng.choice([-1.0, 1.0], size=6)
         for k in range(0, 7):
-            z = jsma_maxloss(net, x, 1.0, k)
+            z = jsma_maxloss_batch(net, x[None, :], [1.0], k)[0]
             assert int(np.sum(z != x)) == min(k, 6)
 
     def test_k_beyond_n_caps(self, rng):
         net = ltf_net(rng.normal(size=4))
         x = rng.choice([-1.0, 1.0], size=4)
-        z = jsma_maxloss(net, x, 1.0, 10)
+        z = jsma_maxloss_batch(net, x[None, :], [1.0], 10)[0]
         np.testing.assert_array_equal(z, -x)
 
     def test_increases_loss_on_confident_point(self):
         x = np.array([1.0, 1.0, 1.0])
-        z = jsma_maxloss(MAJ3_NET, x, 1.0, 2)
+        z = jsma_maxloss_batch(MAJ3_NET, x[None, :], [1.0], 2)[0]
         assert float(MAJ3_NET.predict(z[None, :])[0]) == -1.0
 
     def test_batch_matches_scalar(self, rng):
@@ -196,7 +263,10 @@ class TestJsmaMaxloss:
         for k in [0, 1, 3, 8]:
             Z = jsma_maxloss_batch(net, X, y, k)
             for i in range(32):
-                np.testing.assert_array_equal(Z[i], jsma_maxloss(net, X[i], y[i], k))
+                flips, _ = greedy_reference(net, X[i], y[i], k, stop_on_change=False)
+                expected = X[i].copy()
+                expected[flips] = -expected[flips]
+                np.testing.assert_array_equal(Z[i], expected)
 
 
 class TestRobustAccuracy:
@@ -238,9 +308,28 @@ class TestAttackCurve:
         assert [row[0] for row in curve] == [0.0, 4.0, 12.0]
         assert all(row[1] == 1.0 for row in curve)  # self-labeled: clean = 1
         for eps, clean, robust, cost in curve:
-            assert robust == pytest.approx(robust_accuracy(net, data, AttackBudget(eps)))
             if not math.isnan(cost):
                 assert 2.0 <= cost <= eps
+
+    def test_matches_reference_run_per_epsilon(self, rng):
+        net = random_mlp(rng, 7, t=6)
+        X = rng.choice([-1.0, 1.0], size=(60, 7))
+        data = LabeledDataset(X, rng.choice([-1.0, 1.0], size=60))
+        correct = net.predict(X) == data.y
+        assert 0 < correct.sum() < 60
+        epsilons = [6.0, 0.0, 3.0, 12.0, 20.0]
+        curve = attack_curve(net, data, epsilons)
+        for (eps, clean, robust, cost), e in zip(curve, epsilons):
+            k = AttackBudget(e).max_flips
+            costs = [2.0 * greedy_reference(net, X[i], data.y[i], k)[1] for i in np.flatnonzero(correct)]
+            broken = [c for c in costs if c > 0.0]
+            assert eps == e and clean == correct.mean()
+            assert robust == (len(costs) - len(broken)) / 60
+            assert robust == robust_accuracy(net, data, AttackBudget(e))
+            if broken:
+                assert cost == pytest.approx(np.mean(broken), abs=1e-12)
+            else:
+                assert math.isnan(cost)
 
 
 class TestAdversarialTraining:

@@ -11,7 +11,7 @@ from fourierstab.cli import (
     EXIT_SCHEMA,
     main,
 )
-from fourierstab.fourier import chow_exact
+from fourierstab.fourier import MonteCarloChow, chow_exact
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -85,6 +85,16 @@ class TestGenData:
         model = load_covariance_model(f"{prefix}.covmodel.txt")
         model.validate()
 
+    def test_uniformize_header_records_labels(self, tmp_path, rng):
+        raw, labels = tmp_path / "raw.csv", tmp_path / "labels.txt"
+        np.savetxt(raw, rng.normal(size=(50, 2)), delimiter=",")
+        np.savetxt(labels, rng.choice([-1.0, 1.0], size=50))
+        prefix = tmp_path / "u"
+        assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", labels,
+                   "--out", prefix) == EXIT_OK
+        first = open(f"{prefix}.train.csv").readline()
+        assert f" labels={labels} " in first
+
 
 class TestTrainChowStabilize:
     def test_model_round_trip_and_determinism(self, workspace, tmp_path):
@@ -109,6 +119,18 @@ class TestTrainChowStabilize:
         assert float(rows[1].split(",")[1]) == est.h_empty
         for i, ln in enumerate(rows[2:]):
             assert float(ln.split(",")[1]) == est.h_vec[i]
+
+    def test_chow_mc_uses_the_unit_seed_stream(self, workspace, tmp_path):
+        _, _, model = workspace
+        out = tmp_path / "chow.csv"
+        assert run("chow", "--model", model, "--unit", 2, "--chow-mode", "mc",
+                   "--chow-epsilon", 0.1, "--chow-seed", 5, "--out", out) == EXIT_OK
+        net = load_model(model)
+        source = MonteCarloChow(epsilon=0.1, delta=0.01, seed=5)
+        est = source.estimate(first_layer_ltf(net, 2).handle(), net.n, key=2)
+        rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
+        values = [float(ln.split(",")[1]) for ln in rows[1:]]
+        assert values == [est.h_empty, *est.h_vec]
 
     def test_stabilize_all_p1(self, workspace, tmp_path):
         _, _, model = workspace

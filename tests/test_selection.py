@@ -286,13 +286,26 @@ class TestTraceCsv:
     def test_shape_and_summary(self, rng):
         net, _ = trained_net(rng)
         val = teacher_dataset(net, rng)
-        _, trace = gmb(net, val, cfg_p1(0.8))
-        text = trace_to_csv(trace)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("index,delta_r,")
-        assert len(lines) == len(trace.steps) + 2
-        assert lines[-1].startswith("# summary ")
-        assert f"accepted={len(trace.accepted)}" in lines[-1]
+        flipped = LabeledDataset(val.X, -val.y, split="validation")
+        runs = [
+            gmb(net, val, cfg_p1(0.8)),
+            gmb_fast(net, val, cfg_p1(0.8), verify=True),
+            gmb(net, flipped, cfg_p1(0.9)),  # infeasible: records a warning
+        ]
+        assert any(trace.warnings for _, trace in runs)
+        for _, trace in runs:
+            lines = trace_to_csv(trace).strip().split("\n")
+            assert lines[0].startswith("index,delta_r,")
+            assert len(lines) == len(trace.steps) + len(trace.warnings) + 2
+            warned = lines[1 + len(trace.steps) : -1]
+            assert warned == [f"# warning: {w}" for w in trace.warnings]
+            assert lines[-1].startswith("# summary ")
+            # Every summary token is one key=value pair.
+            fields = dict(kv.split("=") for kv in lines[-1].split()[2:])
+            assert int(fields["accepted"]) == len(trace.accepted)
+            assert int(fields["accuracy_evaluations"]) == trace.accuracy_evaluations
+            assert int(fields["verification_evaluations"]) == trace.verification_evaluations
+            assert int(fields["warnings"]) == len(trace.warnings)
 
     def test_cumulative_column_is_running_sum(self, rng):
         net, _ = trained_net(rng)
