@@ -1,9 +1,12 @@
 """Command-line workbench.
 
-Every output file begins with a single '# config:' header line that embeds
-the resolved parameters, so re-running a command with the same flags
-reproduces the file byte for byte. Machine-readable numbers carry 17
-significant digits; human-readable tables on stdout use 6.
+Every output file begins with a single '# config:' header line that records
+the subcommand and every parsed argument except the output paths, so
+re-running a command with the same flags reproduces the file byte for byte.
+The one exception is the covariance model of 'gen-data --kind uniformize'
+(*.covmodel.txt), whose first line is its own '# covariance-model v1' tag.
+Machine-readable numbers carry 17 significant digits; human-readable tables
+on stdout use 6.
 
 Exit codes: 0 success, 2 bad parameters, 3 missing file, 4 schema mismatch,
 5 dimension mismatch, 6 enumeration capacity exceeded, 7 degenerate unit.
@@ -47,8 +50,14 @@ EXIT_DEGENERATE = 7
 _FMT = "%.17g"
 
 
-def _config_header(cmd: str, args: argparse.Namespace, keys) -> str:
-    parts = [f"cmd={cmd}"] + [f"{k}={getattr(args, k)}" for k in sorted(keys)]
+# Parsed arguments that are not configuration: the dispatch entries, and the
+# output paths, so the same flags with another output path give the same bytes.
+_NOT_CONFIG = frozenset({"command", "fn", "out", "out_model", "out_trace"})
+
+
+def _config_header(args: argparse.Namespace) -> str:
+    parts = [f"cmd={args.command}"]
+    parts += [f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG]
     return "# config: " + " ".join(parts)
 
 
@@ -101,11 +110,6 @@ def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_
 
 
 def cmd_gen_data(args) -> int:
-    header = _config_header(
-        "gen-data",
-        args,
-        ["kind", "n", "train", "val", "test", "noise", "seed", "teacher_width"],
-    )
     if args.kind == "uniformize":
         return _gen_data_uniformize(args)
     rng = np.random.default_rng(args.seed)
@@ -119,23 +123,13 @@ def cmd_gen_data(args) -> int:
     start = 0
     for split, m in sizes.items():
         ds = LabeledDataset(X[start : start + m], y[start : start + m], split=split)
-        path = f"{args.out}.{split}.csv"
-        save_dataset(ds, path)
-        _prepend_header(path, header)
+        save_dataset(ds, f"{args.out}.{split}.csv", _config_header(args))
         start += m
     print(f"wrote {args.out}.{{train,validation,test}}.csv ({total} examples, n={args.n})")
     return EXIT_OK
 
 
-def _prepend_header(path: str, header: str) -> None:
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + body)
-
-
 def _gen_data_uniformize(args) -> int:
-    header = _config_header("gen-data", args, ["kind", "input", "labels", "seed"])
     raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
     if args.labels:
         labels = np.loadtxt(args.labels, ndmin=1)
@@ -148,8 +142,7 @@ def _gen_data_uniformize(args) -> int:
     bits = uniformize.binarize(model, raw)
     ds = LabeledDataset(bits, np.where(labels >= 0, 1.0, -1.0), split="train")
     path = f"{args.out}.train.csv"
-    save_dataset(ds, path)
-    _prepend_header(path, header)
+    save_dataset(ds, path, _config_header(args))
     uniformize.save_covariance_model(model, f"{args.out}.covmodel.txt")
     print(f"wrote {path} and {args.out}.covmodel.txt (d={model.d}, m={raw.shape[0]})")
     return EXIT_OK
@@ -172,11 +165,7 @@ def _train_cfg(args) -> TrainConfig:
 def cmd_train(args) -> int:
     data = _load_split(args.data, "train")
     net = train_sgd(data, _train_cfg(args))
-    save_model(net, args.out)
-    _prepend_header(
-        args.out,
-        _config_header("train", args, ["data", "width", "activation", "epochs", "lr", "batch_size", "seed"]),
-    )
+    save_model(net, args.out, _config_header(args))
     print(f"train accuracy {accuracy(net, data):.6f}; model -> {args.out}")
     return EXIT_OK
 
@@ -186,15 +175,7 @@ def cmd_adv_train(args) -> int:
     net = adversarial_train(
         data, _train_cfg(args), AdvTrainConfig(epochs=args.at_epochs, epsilon_l1=args.at_epsilon)
     )
-    save_model(net, args.out)
-    _prepend_header(
-        args.out,
-        _config_header(
-            "adv-train",
-            args,
-            ["data", "width", "activation", "epochs", "lr", "batch_size", "seed", "at_epochs", "at_epsilon"],
-        ),
-    )
+    save_model(net, args.out, _config_header(args))
     print(f"train accuracy {accuracy(net, data):.6f}; model -> {args.out}")
     return EXIT_OK
 
@@ -206,16 +187,13 @@ def cmd_chow(args) -> int:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
     est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
-    header = _config_header(
-        "chow", args, ["model", "unit", "chow_mode", "chow_epsilon", "chow_delta", "chow_seed", "cap"]
-    )
     lines = [
         "coefficient,value",
         "empty," + _FMT % est.h_empty,
     ]
     lines += [f"{i},{_FMT % v}" for i, v in enumerate(est.h_vec)]
     lines.append(f"# mode={est.mode} samples={est.samples} epsilon={est.epsilon} delta={est.delta}")
-    _write(args.out, header, lines)
+    _write(args.out, _config_header(args), lines)
     print(f"unit {args.unit}: h_empty={est.h_empty:.6f}, ||h||_1={np.abs(est.h_vec).sum():.6f}")
     return EXIT_OK
 
@@ -225,15 +203,7 @@ def cmd_stabilize(args) -> int:
     units = range(net.t) if args.units == "all" else [int(u) for u in args.units.split(",")]
     p = _parse_p(args.p)
     out = stabilize_subset(net, units, p, _chow_source(args), rescale=args.rescale)
-    save_model(out, args.out)
-    _prepend_header(
-        args.out,
-        _config_header(
-            "stabilize",
-            args,
-            ["model", "units", "p", "rescale", "chow_mode", "chow_epsilon", "chow_delta", "chow_seed", "cap"],
-        ),
-    )
+    save_model(out, args.out, _config_header(args))
     changed = int(np.sum(out.stabilized_mask & ~net.stabilized_mask))
     print(f"stabilized {changed} unit(s) at p={args.p}; model -> {args.out}")
     return EXIT_OK
@@ -253,16 +223,8 @@ def cmd_select(args) -> int:
         args.algorithm
     ]
     model, trace = algo(net, val, cfg)
-    save_model(model, args.out_model)
-    header = _config_header(
-        "select",
-        args,
-        [
-            "model", "data", "algorithm", "beta", "a_bar", "p",
-            "chow_mode", "chow_epsilon", "chow_delta", "chow_seed", "cap", "rescale",
-        ],
-    )
-    _prepend_header(args.out_model, header)
+    header = _config_header(args)
+    save_model(model, args.out_model, header)
     _write(args.out_trace, header, selection.trace_to_csv(trace).rstrip("\n").split("\n"))
     for w in trace.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -277,7 +239,6 @@ def cmd_attack(args) -> int:
     net = load_model(args.model)
     data = _load_split(args.data, args.split)
     budget = AttackBudget(args.epsilon)
-    header = _config_header("attack", args, ["model", "data", "split", "epsilon"])
     lines = ["example,true_label,clean_label,success,l1_cost,flips"]
     preds = net.predict(data.X)
     order, changed = greedy_flips(net, data.X, data.y, budget.max_flips, stop_on_change=True)
@@ -287,7 +248,7 @@ def cmd_attack(args) -> int:
             f"{i},{int(data.y[i])},{int(preds[i])},{int(success)},"
             f"{_FMT % (2.0 * len(flips))},{';'.join(str(f) for f in flips)}"
         )
-    _write(args.out, header, lines)
+    _write(args.out, _config_header(args), lines)
     n_success = int(np.count_nonzero(changed))
     print(f"attacked {data.m} examples at epsilon={args.epsilon:g}: {n_success} successes")
     return EXIT_OK
@@ -298,11 +259,10 @@ def cmd_eval(args) -> int:
     data = _load_split(args.data, args.split)
     epsilons = [float(e) for e in args.epsilons.split(",")]
     rows = attack_curve(net, data, epsilons)
-    header = _config_header("eval", args, ["model", "data", "split", "epsilons"])
     lines = ["epsilon,clean_accuracy,robust_accuracy,mean_l1_cost_success"]
     for eps, clean, robust, cost in rows:
         lines.append(f"{_FMT % eps},{_FMT % clean},{_FMT % robust},{_FMT % cost}")
-    _write(args.out, header, lines)
+    _write(args.out, _config_header(args), lines)
     for eps, clean, robust, cost in rows:
         print(f"epsilon={eps:g} clean={clean:.6f} robust={robust:.6f} mean_cost={cost:.6f}")
     return EXIT_OK
@@ -319,11 +279,6 @@ def cmd_bounds(args) -> int:
         # Default grid around the normalized bias theta/sqrt(n).
         base = ltf.theta / math.sqrt(net.n)
         mus = [0.0, base / 2.0, base, 2.0 * base]
-    header = _config_header(
-        "bounds",
-        args,
-        ["model", "unit", "p", "mus", "chow_mode", "chow_epsilon", "chow_delta", "chow_seed", "cap"],
-    )
     lines = ["mu,gamma,bound,bound_clamped,epsilon_be,sigma,e_mu,alpha"]
     for mu in mus:
         if p.p == 1.0:
@@ -336,7 +291,7 @@ def cmd_bounds(args) -> int:
             f"{_FMT % rep.epsilon_be},{opt(rep.sigma)},{opt(rep.e_mu)},{opt(rep.alpha)}"
         )
         print(f"mu={mu:.6g} gamma={rep.gamma:.6g} bound={rep.bound:.6g}")
-    _write(args.out, header, lines)
+    _write(args.out, _config_header(args), lines)
     return EXIT_OK
 
 

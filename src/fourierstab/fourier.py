@@ -21,13 +21,6 @@ DEFAULT_ENUMERATION_CAP = 22
 # materializing a 2^n-by-n matrix all at once.
 _CHUNK_BITS = 16
 
-_POP16 = np.array([bin(k).count("1") for k in range(1 << 16)], dtype=np.uint8)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    return _POP16[a & 0xFFFF] + _POP16[(a >> 16) & 0xFFFF]
-
 
 def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop of the canonical enumeration of {-1,+1}^n.
@@ -154,20 +147,18 @@ def plancherel_inner(f, g, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
 def chow_all(f, n: int, cap: int = 16) -> np.ndarray:
     """All 2^n Fourier coefficients, indexed by subset bitmask.
 
-    Intended for small-n identity checks (Parseval, Plancherel); straight
-    enumeration, one coefficient at a time.
+    Intended for small-n identity checks (Parseval, Plancherel); a fast
+    Walsh-Hadamard transform of the truth table, O(n 2^n).
     """
     if n > cap:
         raise CapacityError(f"n={n} exceeds full-transform cap {cap}")
-    total = 1 << n
-    fx = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n, cap)])
-    idx = np.arange(total, dtype=np.int64)
-    coeffs = np.empty(total)
-    for s in range(total):
-        # chi_S(x_k) = (-1)^popcount(k & s) under the canonical bit encoding.
-        signs = 1.0 - 2.0 * (_popcount(idx & s) & 1)
-        coeffs[s] = float(fx @ signs) / total
-    return coeffs
+    c = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n, cap)])
+    # chi_S(x_k) = (-1)^popcount(k & S) under the canonical bit encoding, so
+    # each pass folds bit j of the input index into bit j of the subset index.
+    for j in range(n):
+        c = c.reshape(-1, 2, 1 << j)
+        c = np.stack([c[:, 0] + c[:, 1], c[:, 0] - c[:, 1]], axis=1)
+    return c.reshape(-1) / float(1 << n)
 
 
 @dataclass(frozen=True)

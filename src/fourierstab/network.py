@@ -71,6 +71,8 @@ class BinaryMlp:
         t, n = W1.shape
         if self.b1.shape != (t,) or self.W2.shape != (t,) or self.stabilized_mask.shape != (t,):
             raise DimensionError("inconsistent layer shapes")
+        if not all(np.isfinite(a).all() for a in (W1, self.b1, self.W2, self.b2)):
+            raise ValueError("non-finite weight")
 
     @property
     def n(self) -> int:
@@ -266,9 +268,13 @@ def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(_FMT % x for x in np.asarray(v, dtype=np.float64))
 
 
-def save_model(net: BinaryMlp, path) -> None:
-    """Self-describing text document; numbers carry 17 significant digits."""
-    lines = [
+def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
+    """Self-describing text document; numbers carry 17 significant digits.
+
+    header, when given, is written as the first line (the CLI's '# config:').
+    """
+    lines = [header] if header is not None else []
+    lines += [
         "# binary-mlp v1",
         f"n={net.n}",
         f"t={net.t}",
@@ -306,26 +312,26 @@ def load_model(path) -> BinaryMlp:
         b2 = float(kv["b2"])
         W2 = np.array([float(x) for x in kv["W2"].split(",")])
         b1 = np.array([float(x) for x in kv["b1"].split(",")])
-        mask = np.array([c == "1" for c in kv["stabilized_mask"].split(",")])
+        mask = np.array([{"0": False, "1": True}[c] for c in kv["stabilized_mask"].split(",")])
         W1 = np.array([[float(x) for x in kv[f"W1.{j}"].split(",")] for j in range(t)])
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
     if W1.shape != (t, n):
         raise SchemaError(f"{path}: W1 shape {W1.shape} != ({t}, {n})")
-    return BinaryMlp(
-        W1=W1,
-        b1=b1,
-        act=act,
-        W2=W2,
-        b2=b2,
-        stabilized_mask=mask,
-        seed_lineage=kv.get("seed_lineage", ""),
-    )
+    try:
+        return BinaryMlp(W1, b1, act, W2, b2, mask, seed_lineage=kv.get("seed_lineage", ""))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: invalid model ({exc})") from exc
 
 
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """CSV: header 'n=<n>', then n +-1 feature columns and one label column."""
+def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None:
+    """CSV: header 'n=<n>', then n +-1 feature columns and one label column.
+
+    header, when given, is written as the first line (the CLI's '# config:').
+    """
     with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
         fh.write(f"n={ds.n}\n")
         for row, label in zip(ds.X, ds.y):
             cells = ["+1" if v > 0 else "-1" for v in row]
@@ -360,4 +366,7 @@ def load_dataset(path, split: str = "train") -> LabeledDataset:
             labels.append(vals[n])
     if not rows:
         raise SchemaError(f"{path}: dataset has no examples")
-    return LabeledDataset(np.array(rows), np.array(labels), split=split)
+    try:
+        return LabeledDataset(np.array(rows), np.array(labels), split=split)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fourierstab.cli import (
     EXIT_OK,
     EXIT_PARAMS,
     EXIT_SCHEMA,
+    build_parser,
     main,
 )
 from fourierstab.fourier import MonteCarloChow, chow_exact
@@ -244,6 +247,31 @@ class TestExitCodes:
         assert run("attack", "--model", small, "--data", prefix, "--split", "test",
                    "--epsilon", 2.0, "--out", tmp_path / "o.csv") == EXIT_DIMENSION
 
+    @pytest.mark.parametrize(
+        "command, target, pattern, replacement",
+        [
+            ("eval", "model", r"^W1\.0=[^,]*", "W1.0=nan"),
+            ("stabilize", "model", r"^W1\.0=[^,]*", "W1.0=nan"),
+            ("eval", "model", r"^b2=.*", "b2=inf"),
+            ("eval", "model", r"^(b1=.*),[^,]*$", r"\1"),
+            ("eval", "model", r"^(stabilized_mask=.*),[^,]*$", r"\1"),
+            ("eval", "model", r"^stabilized_mask=.", "stabilized_mask=2"),
+            ("eval", "data", r"^[+-]1,", "0.5,"),
+        ],
+        ids=["nan-weight-eval", "nan-weight-stabilize", "inf-b2", "short-b1", "short-mask",
+             "mask-entry-2", "half-feature"],
+    )
+    def test_invalid_value_is_schema_error(self, workspace, tmp_path, command, target, pattern,
+                                           replacement):
+        _, prefix, model = workspace
+        path = model if target == "model" else tmp_path / "data.test.csv"
+        path.write_text(re.sub(pattern, replacement, path.read_text(), count=1, flags=re.M))
+        argv = {
+            "eval": ["eval", "--model", model, "--data", prefix, "--epsilons", "0,2"],
+            "stabilize": ["stabilize", "--model", model],
+        }[command]
+        assert run(*argv, "--out", tmp_path / "o.txt") == EXIT_SCHEMA
+
     def test_capacity_error(self, workspace, tmp_path):
         _, _, model = workspace
         assert run("chow", "--model", model, "--unit", 0, "--cap", 4,
@@ -267,3 +295,44 @@ class TestExitCodes:
         save_model(net, model)
         assert run("bounds", "--model", model, "--unit", 0, "--p", "2",
                    "--mus", "0", "--out", tmp_path / "o.csv") == EXIT_DEGENERATE
+
+
+# Parsed arguments that stay out of the header: dispatch entries and output paths.
+_NOT_CONFIG = {"command", "fn", "out", "out_model", "out_trace"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gen-data", "gen-data-uniformize", "train", "adv-train", "chow", "stabilize", "select",
+     "attack", "eval", "bounds"],
+)
+def test_config_header_records_every_parsed_argument(workspace, tmp_path, rng, name):
+    _, prefix, model = workspace
+    raw, o = tmp_path / "raw.csv", tmp_path / "o"
+    np.savetxt(raw, rng.normal(size=(50, 2)), delimiter=",")
+    argv, outputs = {
+        "gen-data": (["gen-data", "--kind", "planted-mlp", "--n", 4, "--train", 20, "--val", 5,
+                      "--test", 5, "--out", o], [f"{o}.{s}.csv" for s in ("train", "validation", "test")]),
+        "gen-data-uniformize": (["gen-data", "--kind", "uniformize", "--input", raw, "--out", o],
+                                [f"{o}.train.csv"]),
+        "train": (["train", "--data", prefix, "--width", 3, "--epochs", 1, "--out", o], [o]),
+        "adv-train": (["adv-train", "--data", prefix, "--width", 3, "--epochs", 1, "--at-epochs", 1,
+                       "--out", o], [o]),
+        "chow": (["chow", "--model", model, "--unit", 1, "--out", o], [o]),
+        "stabilize": (["stabilize", "--model", model, "--units", "0,1", "--out", o], [o]),
+        "select": (["select", "--model", model, "--data", prefix, "--beta", 0.5, "--out-model", o,
+                    "--out-trace", f"{o}.csv"], [o, f"{o}.csv"]),
+        "attack": (["attack", "--model", model, "--data", prefix, "--epsilon", 2, "--out", o], [o]),
+        "eval": (["eval", "--model", model, "--data", prefix, "--epsilons", "0,2", "--out", o], [o]),
+        "bounds": (["bounds", "--model", model, "--unit", 0, "--out", o], [o]),
+    }[name]
+    argv = [str(a) for a in argv]
+    assert main(argv) == EXIT_OK
+    args = vars(build_parser().parse_args(argv))
+    expected = {k: str(v) for k, v in args.items() if k not in _NOT_CONFIG}
+    for path in outputs:
+        first = open(path).readline().rstrip("\n")
+        assert first.startswith(f"# config: cmd={args['command']} ")
+        pairs = [tok.partition("=")[::2] for tok in first.split()[3:]]
+        assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+        assert dict(pairs) == expected

@@ -14,6 +14,7 @@ from fourierstab.fourier import (
     chow_exact,
     chow_mc,
     cube_chunk,
+    enumerate_cube,
     influence,
     mc_sample_count,
     parity,
@@ -170,6 +171,40 @@ class TestParseval:
             n = int(rng.integers(2, 9))
             f = random_ltf(rng, n).handle()
             assert float(np.sum(chow_all(f, n) ** 2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def chow_all_loop(f, n):
+    """Reference: the per-subset sum chow_all replaced, chi_S(x_k) = (-1)^popcount(k & S)."""
+    total = 1 << n
+    fx = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n)])
+    idx = np.arange(total, dtype=np.int64)
+    coeffs = np.empty(total)
+    for s in range(total):
+        odd = np.zeros(total, dtype=np.int64)
+        for b in range(n):
+            odd ^= ((idx & s) >> b) & 1
+        coeffs[s] = float(fx @ (1.0 - 2.0 * odd)) / total
+    return coeffs
+
+
+class TestChowAll:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_subset_loop(self, rng, n):
+        table = rng.choice([-1.0, 1.0], size=1 << n)
+
+        def boolean(X):
+            bits = (np.asarray(X) < 0).astype(np.int64)
+            return table[(bits << np.arange(n, dtype=np.int64)).sum(axis=1)]
+
+        for f in (boolean, random_ltf(rng, n).handle(), majority3):
+            np.testing.assert_array_equal(chow_all(f, n), chow_all_loop(f, n))
+        w, b = rng.normal(size=n), rng.normal()
+        real = lambda X: np.tanh(X @ w + b)
+        np.testing.assert_allclose(chow_all(real, n), chow_all_loop(real, n), rtol=0, atol=1e-15)
+
+    def test_cap(self):
+        with pytest.raises(CapacityError):
+            chow_all(majority3, 5, cap=4)
 
 
 class TestChowSources:

@@ -1,7 +1,12 @@
 import math
+import re
+import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierstab.errors import DimensionError, SchemaError
 from fourierstab.fourier import ExactChow
@@ -72,6 +77,19 @@ class TestForward:
         labels = net.predict(X)
         for x, lbl in zip(X, labels):
             assert forward(net, x)[1] == lbl
+
+
+class TestBinaryMlp:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["W1", "b1", "W2", "b2"])
+    def test_rejects_non_finite_weights(self, field, bad):
+        net = small_net()
+        value = bad
+        if field != "b2":
+            value = getattr(net, field).copy()
+            value.flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            replace(net, **{field: value})
 
 
 class TestActivation:
@@ -299,3 +317,60 @@ class TestSerialization:
         p.write_text("n=2\n+1,x,+1\n")
         with pytest.raises(SchemaError):
             load_dataset(p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Config lines the CLI writes; None is a library caller's headerless file.
+_HEADERS = st.sampled_from([None, "# config: cmd=train data=d seed=0"])
+# Tokens that replace one saved value: near-valid numbers, non-finite
+# spellings, and arbitrary printable text, including separators and newlines.
+_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999", "0", "1", "2", "-1", "0.5", "1_0", "9" * 30]),
+    st.text(alphabet=string.printable, max_size=8),
+)
+
+
+@st.composite
+def binary_mlps(draw):
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    floats = lambda size: np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
+    return BinaryMlp(
+        W1=floats(t * n).reshape(t, n),
+        b1=floats(t),
+        act=draw(st.sampled_from(Activation)),
+        W2=floats(t),
+        b2=draw(_FINITE),
+        stabilized_mask=draw(st.lists(st.booleans(), min_size=t, max_size=t)),
+        seed_lineage=draw(st.text(alphabet=string.printable.replace("\n", "").replace("\r", ""))),
+    )
+
+
+class TestSerializationProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(net=binary_mlps(), header=_HEADERS)
+    def test_model_round_trip_is_exact(self, tmp_path_factory, net, header):
+        path = tmp_path_factory.getbasetemp() / "round-trip.txt"
+        save_model(net, path, header)
+        back = load_model(path)
+        for name in ("W1", "b1", "W2", "stabilized_mask"):
+            a, b = getattr(back, name), getattr(net, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.float64(back.b2).tobytes() == np.float64(net.b2).tobytes()
+        assert (back.act, back.seed_lineage) == (net.act, net.seed_lineage)
+        assert path.read_text().splitlines()[0] == (header or "# binary-mlp v1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=binary_mlps(), header=_HEADERS, data=st.data())
+    def test_corrupted_value_loads_valid_or_is_schema_error(self, tmp_path_factory, net, header, data):
+        path = tmp_path_factory.getbasetemp() / "corrupted.txt"
+        save_model(net, path, header)
+        text = path.read_text()
+        # A value runs from a '=' or ',' to the next ',' or line end.
+        start, stop = data.draw(st.sampled_from([m.span() for m in re.finditer(r"(?<=[=,])[^,\n]*", text)]))
+        path.write_text(text[:start] + data.draw(_TOKENS) + text[stop:])
+        try:
+            back = load_model(path)
+        except SchemaError:
+            return
+        assert all(np.isfinite(a).all() for a in (back.W1, back.b1, back.W2)) and math.isfinite(back.b2)
+        assert back.b1.shape == back.W2.shape == back.stabilized_mask.shape == (back.t,)
