@@ -3,6 +3,8 @@
 Every output file begins with a single '# config:' header line that records
 the subcommand and every parsed argument except the output paths, so
 re-running a command with the same flags reproduces the file byte for byte.
+Each argument is one key=value token: a value holding whitespace is written
+shell-quoted, so it stays one token.
 The one exception is the covariance model of 'gen-data --kind uniformize'
 (*.covmodel.txt), whose first line is its own '# covariance-model v1' tag.
 Machine-readable numbers carry 17 significant digits; human-readable tables
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -55,9 +58,14 @@ _FMT = "%.17g"
 _NOT_CONFIG = frozenset({"command", "fn", "out", "out_model", "out_trace"})
 
 
+def _config_value(v) -> str:
+    text = str(v)
+    return shlex.quote(text) if any(c.isspace() for c in text) else text
+
+
 def _config_header(args: argparse.Namespace) -> str:
     parts = [f"cmd={args.command}"]
-    parts += [f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG]
+    parts += [f"{k}={_config_value(v)}" for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG]
     return "# config: " + " ".join(parts)
 
 

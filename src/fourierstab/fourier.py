@@ -64,6 +64,8 @@ class ChowEstimate:
             raise DimensionError(
                 f"h_vec has shape {self.h_vec.shape}, expected ({self.n},)"
             )
+        if not (math.isfinite(self.h_empty) and np.isfinite(self.h_vec).all()):
+            raise ValueError("non-finite coefficient")
         if self.mode not in ("exact", "mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exact" and (self.epsilon != 0.0 or self.samples != 0):
@@ -87,23 +89,34 @@ def mc_sample_count(n: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * (n + 1) / delta) / (2.0 * epsilon**2))
 
 
+def cube_mean(g, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """E_x over the cube of a scalar or vector quantity, where g maps an (m, n)
+    chunk of cube rows to the quantity's sum over that chunk."""
+    total = 0.0
+    for X in enumerate_cube(n, cap):
+        total = total + g(X)
+    return total / float(1 << n)
+
+
+def _chow_sum(f, X) -> np.ndarray:
+    """Sum over the rows x of X of f(x) * (1, x_1, ..., x_n)."""
+    fx = np.asarray(f(X), dtype=np.float64)
+    return np.concatenate(([fx.sum()], fx @ X))
+
+
 def chow_exact(f, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> ChowEstimate:
     """Exact degree-<=1 coefficients by full enumeration (n <= cap)."""
-    total = float(1 << n)
-    s_empty = 0.0
-    s_vec = np.zeros(n)
-    for X in enumerate_cube(n, cap):
-        fx = np.asarray(f(X), dtype=np.float64)
-        s_empty += fx.sum()
-        s_vec += fx @ X
-    return ChowEstimate(n=n, h_empty=s_empty / total, h_vec=s_vec / total, mode="exact")
+    h = cube_mean(lambda X: _chow_sum(f, X), n, cap)
+    return ChowEstimate(n=n, h_empty=float(h[0]), h_vec=h[1:], mode="exact")
 
 
 def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
     """Monte-Carlo degree-<=1 coefficients.
 
     With probability >= 1-delta every coefficient estimate is within epsilon
-    of the truth. Deterministic given the seed (an int or SeedSequence).
+    of the truth. Deterministic given the seed (an int or SeedSequence). The
+    samples are drawn in chunks of at most 2^_CHUNK_BITS rows, which consume
+    the generator's stream exactly as one draw of all of them would.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -111,16 +124,12 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
         raise ValueError("delta must lie in (0, 1)")
     m = mc_sample_count(n, epsilon, delta)
     rng = np.random.default_rng(seed)
-    X = (1.0 - 2.0 * rng.integers(0, 2, size=(m, n))).astype(np.float64)
-    fx = np.asarray(f(X), dtype=np.float64)
+    total, step = 0.0, 1 << _CHUNK_BITS
+    for start in range(0, m, step):
+        total = total + _chow_sum(f, 1.0 - 2.0 * rng.integers(0, 2, size=(min(step, m - start), n)))
+    h = total / m
     return ChowEstimate(
-        n=n,
-        h_empty=float(fx.mean()),
-        h_vec=(fx @ X) / m,
-        mode="mc",
-        epsilon=epsilon,
-        delta=delta,
-        samples=m,
+        n=n, h_empty=float(h[0]), h_vec=h[1:], mode="mc", epsilon=epsilon, delta=delta, samples=m
     )
 
 
@@ -128,20 +137,19 @@ def influence(f, i: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact probability that flipping coordinate i changes f."""
     if not 0 <= i < n:
         raise DimensionError(f"index {i} out of range for dimension {n}")
-    changed = 0
-    for X in enumerate_cube(n, cap):
-        Xf = X.copy()
-        Xf[:, i] = -Xf[:, i]
-        changed += int(np.count_nonzero(np.asarray(f(X)) != np.asarray(f(Xf))))
-    return changed / float(1 << n)
+    flip = np.where(np.arange(n) == i, -1.0, 1.0)
+    return float(
+        cube_mean(lambda X: np.count_nonzero(np.asarray(f(X)) != np.asarray(f(X * flip))), n, cap)
+    )
 
 
 def plancherel_inner(f, g, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """E_x f(x)g(x) by direct enumeration; oracle for the coefficient-side sum."""
-    total = 0.0
-    for X in enumerate_cube(n, cap):
-        total += float(np.asarray(f(X), dtype=np.float64) @ np.asarray(g(X), dtype=np.float64))
-    return total / float(1 << n)
+
+    def dot(X):
+        return np.asarray(f(X), dtype=np.float64) @ np.asarray(g(X), dtype=np.float64)
+
+    return float(cube_mean(dot, n, cap))
 
 
 def chow_all(f, n: int, cap: int = 16) -> np.ndarray:

@@ -9,6 +9,7 @@ statistic is the head score minus the activation midpoint (0.5 for logistic,
 from __future__ import annotations
 
 import enum
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
@@ -291,20 +292,22 @@ def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_lines(path):
+    """Yield a text file's lines without newlines, after the leading '# config:'
+    provenance lines that CLI outputs carry; bytes that are not text raise SchemaError."""
+    try:
+        with open(path) as fh:
+            lines = (ln.rstrip("\n") for ln in fh)
+            yield from itertools.dropwhile(lambda ln: ln.startswith("# config:"), lines)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from exc
+
+
 def load_model(path) -> BinaryMlp:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    # CLI outputs carry a leading "# config:" provenance line; skip it.
-    while lines and lines[0].startswith("# config:"):
-        lines = lines[1:]
+    lines = list(read_lines(path))
     if not lines or lines[0] != "# binary-mlp v1":
         raise SchemaError(f"{path}: missing binary-mlp header")
-    kv = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        key, _, val = ln.partition("=")
-        kv[key] = val
+    kv = dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
     try:
         n = int(kv["n"])
         t = int(kv["t"])
@@ -340,30 +343,28 @@ def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None
 
 
 def load_dataset(path, split: str = "train") -> LabeledDataset:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        while header.startswith("# config:"):
-            header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise SchemaError(f"{path}: expected 'n=<n>' header, got {header!r}")
+    lines = read_lines(path)
+    header = next(lines, "").strip()
+    if not header.startswith("n="):
+        raise SchemaError(f"{path}: expected 'n=<n>' header, got {header!r}")
+    try:
+        n = int(header[2:])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: bad header {header!r}") from exc
+    rows, labels = [], []
+    for lineno, ln in enumerate(lines, start=2):
+        ln = ln.strip()
+        if not ln:
+            continue
+        cells = ln.split(",")
+        if len(cells) != n + 1:
+            raise SchemaError(f"{path}:{lineno}: expected {n + 1} columns, got {len(cells)}")
         try:
-            n = int(header[2:])
+            vals = [float(c) for c in cells]
         except ValueError as exc:
-            raise SchemaError(f"{path}: bad header {header!r}") from exc
-        rows, labels = [], []
-        for lineno, ln in enumerate(fh, start=2):
-            ln = ln.strip()
-            if not ln:
-                continue
-            cells = ln.split(",")
-            if len(cells) != n + 1:
-                raise SchemaError(f"{path}:{lineno}: expected {n + 1} columns, got {len(cells)}")
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: non-numeric cell") from exc
-            rows.append(vals[:n])
-            labels.append(vals[n])
+            raise SchemaError(f"{path}:{lineno}: non-numeric cell") from exc
+        rows.append(vals[:n])
+        labels.append(vals[n])
     if not rows:
         raise SchemaError(f"{path}: dataset has no examples")
     try:

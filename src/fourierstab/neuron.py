@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
-from .fourier import DEFAULT_ENUMERATION_CAP, ChowEstimate, enumerate_cube
+from .fourier import DEFAULT_ENUMERATION_CAP, ChowEstimate, cube_mean
 
 # Best known Berry-Esseen constants; overridable per call for sensitivity runs.
 C0_DEFAULT = 0.47
@@ -71,6 +71,8 @@ class LinearThresholdNeuron:
             raise DimensionError("w must be a nonempty vector")
         if not np.any(w != 0.0):
             raise ValueError("w must not be the zero vector")
+        if not (np.isfinite(w).all() and math.isfinite(self.theta)):
+            raise ValueError("non-finite weight or threshold")
 
     @property
     def n(self) -> int:
@@ -115,11 +117,7 @@ def robustness_exact(
     nrn: LinearThresholdNeuron, p: PNorm, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> float:
     """Mean lp distance to the decision boundary over the whole cube."""
-    qn = norm(nrn.w, p.q)
-    total = 0.0
-    for X in enumerate_cube(nrn.n, cap):
-        total += float(np.sum(np.abs(X @ nrn.w - nrn.theta)))
-    return total / qn / float(1 << nrn.n)
+    return float(cube_mean(lambda X: np.abs(X @ nrn.w - nrn.theta).sum(), nrn.n, cap)) / norm(nrn.w, p.q)
 
 
 def robustness_analytic(chow: ChowEstimate, nrn: LinearThresholdNeuron, p: PNorm) -> float:
@@ -308,7 +306,4 @@ def accuracy_bound_lp(
 
 def disagreement_exact(a, b, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact Pr_x[a(x) != b(x)] by enumeration."""
-    differ = 0
-    for X in enumerate_cube(n, cap):
-        differ += int(np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))))
-    return differ / float(1 << n)
+    return float(cube_mean(lambda X: np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))), n, cap))

@@ -10,7 +10,6 @@ and only the accuracy side is adaptive.
 from __future__ import annotations
 
 import heapq
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -81,8 +80,7 @@ def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
     if not np.any(chow.h_vec != 0.0):
         warnings.warn(f"unit {j} has a zero coefficient vector; delta_r = 0")
         return 0.0
-    qn = norm(ltf.w, p.q)
-    return norm(chow.h_vec, p.p) - float(ltf.w @ chow.h_vec) / qn
+    return norm(chow.h_vec, p.p) - float(ltf.w @ chow.h_vec) / norm(ltf.w, p.q)
 
 
 def _unit_gains(net: BinaryMlp, cfg: SelectionConfig) -> np.ndarray:
@@ -99,6 +97,30 @@ def _gain_order(gains: np.ndarray) -> list[int]:
     return list(np.lexsort((np.arange(gains.size), -gains)))
 
 
+def _try(base: BinaryMlp, units, val: LabeledDataset, cfg: SelectionConfig) -> tuple[BinaryMlp, float]:
+    """Stabilize units of base; the candidate model and its validation accuracy."""
+    model = stabilize_subset(base, units, cfg.p, cfg.chow_source, rescale=cfg.rescale)
+    return model, accuracy(model, val)
+
+
+def _accept(trace: SelectionTrace, step: SelectionStep) -> None:
+    trace.steps.append(step)
+    trace.accepted.append(step.index)
+    trace.proxy_total += step.delta_r
+
+
+def _clean_accuracy(
+    net: BinaryMlp, val: LabeledDataset, cfg: SelectionConfig, trace: SelectionTrace
+) -> Optional[float]:
+    """Counted accuracy of net, or None with a warning when it is below beta."""
+    acc = accuracy(net, val)
+    trace.accuracy_evaluations += 1
+    if acc < cfg.beta:
+        trace.warnings.append(f"clean accuracy {acc:.6f} is below beta={cfg.beta}; S is empty")
+        return None
+    return acc
+
+
 def gmb(
     net: BinaryMlp, val: LabeledDataset, cfg: SelectionConfig
 ) -> tuple[BinaryMlp, SelectionTrace]:
@@ -106,23 +128,16 @@ def gmb(
     first unit whose inclusion drops validation accuracy below beta."""
     trace = SelectionTrace()
     gains = _unit_gains(net, cfg)
-    order = _gain_order(gains)
-    trace.order = list(order)
-    current = net
-    acc = accuracy(current, val)
-    trace.accuracy_evaluations += 1
-    if acc < cfg.beta:
-        trace.warnings.append(f"clean accuracy {acc:.6f} is below beta={cfg.beta}; S is empty")
+    trace.order = _gain_order(gains)
+    current, acc = net, _clean_accuracy(net, val, cfg, trace)
+    if acc is None:
         return current, trace
-    for j in order:
-        candidate = stabilize_subset(current, [j], cfg.p, cfg.chow_source, rescale=cfg.rescale)
-        cand_acc = accuracy(candidate, val)
+    for j in trace.order:
+        candidate, cand_acc = _try(current, [j], val, cfg)
         trace.accuracy_evaluations += 1
         if cand_acc < cfg.beta:
             break
-        trace.steps.append(SelectionStep(j, float(gains[j]), acc - cand_acc, float("nan"), cand_acc))
-        trace.accepted.append(j)
-        trace.proxy_total += float(gains[j])
+        _accept(trace, SelectionStep(j, float(gains[j]), acc - cand_acc, float("nan"), cand_acc))
         current, acc = candidate, cand_acc
     return current, trace
 
@@ -143,47 +158,35 @@ def gmb_fast(
     """
     trace = SelectionTrace()
     gains = _unit_gains(net, cfg)
-    order = _gain_order(gains)
-    trace.order = list(order)
-    cache: dict[int, float] = {}
-
-    def prefix_acc(i: int) -> float:
-        if i not in cache:
-            model = stabilize_subset(net, order[:i], cfg.p, cfg.chow_source, rescale=cfg.rescale)
-            cache[i] = accuracy(model, val)
-            trace.accuracy_evaluations += 1
-        return cache[i]
-
+    order = trace.order = _gain_order(gains)
+    prefix: dict[int, tuple[BinaryMlp, float]] = {}  # length -> (model, accuracy)
     lo, hi = 0, net.t
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if prefix_acc(mid) >= cfg.beta:
+        mid = (lo + hi + 1) // 2  # never a length tried before: lo < mid <= hi
+        prefix[mid] = _try(net, order[:mid], val, cfg)
+        trace.accuracy_evaluations += 1
+        if prefix[mid][1] >= cfg.beta:
             lo = mid
         else:
             hi = mid - 1
     if lo == 0:
         trace.warnings.append(f"no feasible nonempty prefix at beta={cfg.beta}; S is empty")
         return net, trace
-    final_acc = cache[lo]
+    model, final_acc = prefix[lo]
     for rank, j in enumerate(order[:lo]):
-        acc_after = cache.get(rank + 1, float("nan"))
-        trace.steps.append(SelectionStep(j, float(gains[j]), float("nan"), float("nan"), acc_after))
-        trace.accepted.append(j)
-        trace.proxy_total += float(gains[j])
+        acc_after = prefix[rank + 1][1] if rank + 1 in prefix else float("nan")
+        _accept(trace, SelectionStep(j, float(gains[j]), float("nan"), float("nan"), acc_after))
     if verify:
         for i in range(1, lo):
-            if i in cache:
-                continue
-            model = stabilize_subset(net, order[:i], cfg.p, cfg.chow_source, rescale=cfg.rescale)
-            cache[i] = accuracy(model, val)
-            trace.verification_evaluations += 1
-        bad = [i for i in range(1, lo) if cache[i] < cfg.beta]
+            if i not in prefix:
+                prefix[i] = _try(net, order[:i], val, cfg)
+                trace.verification_evaluations += 1
+        bad = [i for i in range(1, lo) if prefix[i][1] < cfg.beta]
         if bad:
             trace.warnings.append(
                 f"monotonicity violated: prefixes {bad} fall below beta although prefix {lo} "
                 f"(accuracy {final_acc:.6f}) does not"
             )
-    model = stabilize_subset(net, order[:lo], cfg.p, cfg.chow_source, rescale=cfg.rescale)
     return model, trace
 
 
@@ -202,43 +205,30 @@ def gmbc(
     trace = SelectionTrace()
     gains = _unit_gains(net, cfg)
     a_bar = cfg.resolved_a_bar(val.m)
-    current = net
-    acc = accuracy(current, val)
-    trace.accuracy_evaluations += 1
-    if acc < cfg.beta:
-        trace.warnings.append(f"clean accuracy {acc:.6f} is below beta={cfg.beta}; S is empty")
+    current, acc = net, _clean_accuracy(net, val, cfg, trace)
+    if acc is None:
         return current, trace
-
-    def evaluate(j: int):
-        candidate = stabilize_subset(current, [j], cfg.p, cfg.chow_source, rescale=cfg.rescale)
-        cand_acc = accuracy(candidate, val)
-        raw = acc - cand_acc
-        ratio = float(gains[j]) / max(raw, a_bar)
-        return candidate, cand_acc, raw, ratio
-
     round_no = 0
-    heap: list[tuple[float, int, int]] = []  # (-ratio, unit, round evaluated)
-    evaluated: dict[int, tuple] = {}
-    for j in range(net.t):
-        cand = evaluate(j)
+    heap: list[tuple] = []  # (-ratio, unit, round evaluated, model, accuracy); one per unit
+
+    def push(j: int) -> None:
+        candidate, cand_acc = _try(current, [j], val, cfg)
         trace.accuracy_evaluations += 1
-        evaluated[j] = cand
-        heapq.heappush(heap, (-cand[3], j, round_no))
+        ratio = float(gains[j]) / max(acc - cand_acc, a_bar)
+        heapq.heappush(heap, (-ratio, j, round_no, candidate, cand_acc))
+
+    for j in range(net.t):
+        push(j)
     while heap:
-        neg_ratio, j, rnd = heapq.heappop(heap)
+        _, j, rnd, candidate, cand_acc = heapq.heappop(heap)
         if rnd != round_no:
-            cand = evaluate(j)
-            trace.accuracy_evaluations += 1
-            evaluated[j] = cand
-            heapq.heappush(heap, (-cand[3], j, round_no))
+            push(j)
             continue
-        candidate, cand_acc, raw, ratio = evaluated[j]
         trace.order.append(j)
         if cand_acc < cfg.beta:
             continue  # permanently ineligible; entry is never re-pushed
-        trace.steps.append(SelectionStep(j, float(gains[j]), raw, max(raw, a_bar), cand_acc))
-        trace.accepted.append(j)
-        trace.proxy_total += float(gains[j])
+        raw = acc - cand_acc
+        _accept(trace, SelectionStep(j, float(gains[j]), raw, max(raw, a_bar), cand_acc))
         current, acc = candidate, cand_acc
         round_no += 1
     if not trace.accepted:

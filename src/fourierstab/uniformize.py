@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SchemaError
+from .network import read_lines
 
 
 def jacobi_eigh(C: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -145,8 +146,7 @@ def save_covariance_model(model: CovarianceModel, path) -> None:
 
 
 def load_covariance_model(path) -> CovarianceModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = list(read_lines(path))
     if not lines or lines[0] != "# covariance-model v1":
         raise SchemaError(f"{path}: missing covariance-model header")
     kv = dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
@@ -158,4 +158,6 @@ def load_covariance_model(path) -> CovarianceModel:
         U = np.array([[float(v) for v in kv[f"U.{j}"].split(",")] for j in range(d)])
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed covariance model ({exc})") from exc
+    if not all(np.isfinite(a).all() for a in (mean, D, thresholds, U)):
+        raise SchemaError(f"{path}: non-finite value in covariance model")
     return CovarianceModel(mean=mean, C=U @ np.diag(D) @ U.T, U=U, D=D, thresholds=thresholds)

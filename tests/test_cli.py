@@ -1,4 +1,6 @@
 import re
+import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -257,15 +259,19 @@ class TestExitCodes:
             ("eval", "model", r"^(stabilized_mask=.*),[^,]*$", r"\1"),
             ("eval", "model", r"^stabilized_mask=.", "stabilized_mask=2"),
             ("eval", "data", r"^[+-]1,", "0.5,"),
+            # A lone surrogate is written as the byte 0xff, which is not UTF-8.
+            ("eval", "model", r"^n=.*", "n=\udcff"),
+            ("eval", "data", r"^[+-]1,", "\udcff,"),
         ],
         ids=["nan-weight-eval", "nan-weight-stabilize", "inf-b2", "short-b1", "short-mask",
-             "mask-entry-2", "half-feature"],
+             "mask-entry-2", "half-feature", "non-utf8-model", "non-utf8-data"],
     )
     def test_invalid_value_is_schema_error(self, workspace, tmp_path, command, target, pattern,
                                            replacement):
         _, prefix, model = workspace
         path = model if target == "model" else tmp_path / "data.test.csv"
-        path.write_text(re.sub(pattern, replacement, path.read_text(), count=1, flags=re.M))
+        text = re.sub(pattern, replacement, path.read_text(), count=1, flags=re.M)
+        path.write_text(text, errors="surrogateescape")
         argv = {
             "eval": ["eval", "--model", model, "--data", prefix, "--epsilons", "0,2"],
             "stabilize": ["stabilize", "--model", model],
@@ -336,3 +342,19 @@ def test_config_header_records_every_parsed_argument(workspace, tmp_path, rng, n
         pairs = [tok.partition("=")[::2] for tok in first.split()[3:]]
         assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
         assert dict(pairs) == expected
+
+
+def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
+    _, prefix, _ = workspace
+    spaced = tmp_path / "my dir" / "d"
+    spaced.parent.mkdir()
+    for split in ("train", "validation", "test"):
+        shutil.copy(f"{prefix}.{split}.csv", f"{spaced}.{split}.csv")
+    argv = ["train", "--data", str(spaced), "--width", "3", "--epochs", "1", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    tokens = shlex.split(open(tmp_path / "o").readline())
+    assert tokens[:3] == ["#", "config:", "cmd=train"]
+    args = vars(build_parser().parse_args(argv))
+    expected = {k: str(v) for k, v in args.items() if k not in _NOT_CONFIG}
+    assert dict(tok.partition("=")[::2] for tok in tokens[3:]) == expected
+    assert expected["data"] == str(spaced)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import constant, dictator, majority3, random_ltf
 from fourierstab.errors import CapacityError, DimensionError
 from fourierstab.fourier import (
+    ChowEstimate,
     ExactChow,
     MonteCarloChow,
     chow_all,
@@ -112,6 +113,25 @@ class TestChowMc:
         with pytest.raises(ValueError):
             chow_mc(majority3, 3, 0.1, 1.5, seed=0)
 
+    def test_bounded_chunks_replay_one_draw(self):
+        largest = 0
+
+        def f(X):  # OR-like LTF: h_empty = 0.5, h_vec = (0.5, 0.5)
+            nonlocal largest
+            largest = max(largest, X.shape[0])
+            return np.where(X[:, 0] + 0.5 * X[:, 1] + 0.75 >= 0.0, 1.0, -1.0)
+
+        m = mc_sample_count(2, 0.005, 0.01)
+        est = chow_mc(f, 2, 0.005, 0.01, np.random.SeedSequence(entropy=9, spawn_key=(4,)))
+        assert m > 1 << 16 and est.samples == m
+        assert largest <= 1 << 16
+        # Reference: every sample from one draw of the same stream.
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(4,)))
+        X = (1.0 - 2.0 * rng.integers(0, 2, size=(m, 2))).astype(np.float64)
+        fx = f(X)
+        assert est.h_empty == float(fx.mean())
+        np.testing.assert_array_equal(est.h_vec, (fx @ X) / m)
+
 
 class TestInfluence:
     def test_dictator_relevant(self):
@@ -205,6 +225,15 @@ class TestChowAll:
     def test_cap(self):
         with pytest.raises(CapacityError):
             chow_all(majority3, 5, cap=4)
+
+
+class TestChowEstimate:
+    @pytest.mark.parametrize(
+        "h_empty, h_vec", [(math.nan, [0.5, 0.5]), (0.0, [0.5, math.nan])], ids=["h_empty", "h_vec"]
+    )
+    def test_non_finite_rejected(self, h_empty, h_vec):
+        with pytest.raises(ValueError):
+            ChowEstimate(2, h_empty, np.array(h_vec), "mc", epsilon=0.1, delta=0.1, samples=10)
 
 
 class TestChowSources:

@@ -74,6 +74,15 @@ class TestPNorm:
             PNorm(0.5)
 
 
+class TestLinearThresholdNeuron:
+    @pytest.mark.parametrize(
+        "w, theta", [([math.nan, 1.0], 0.0), ([1.0, 1.0], math.inf)], ids=["nan-w", "inf-theta"]
+    )
+    def test_non_finite_rejected(self, w, theta):
+        with pytest.raises(ValueError):
+            LinearThresholdNeuron(np.array(w), theta)
+
+
 class TestDistance:
     def test_p1(self):
         nrn = LinearThresholdNeuron(np.array([1.0, 1.0]), 0.0)

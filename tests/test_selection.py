@@ -15,6 +15,7 @@ from fourierstab.network import (
     stabilize_subset,
     train_sgd,
 )
+from fourierstab import selection
 from fourierstab.neuron import PNorm
 from fourierstab.selection import (
     SelectionConfig,
@@ -182,6 +183,26 @@ class TestGmbFast:
         np.testing.assert_array_equal(model.W1, plain_model.W1)
         assert trace.accuracy_evaluations == plain.accuracy_evaluations
         assert trace.verification_evaluations <= max(len(trace.accepted) - 1, 0)
+
+    def test_builds_each_prefix_model_once(self, rng, monkeypatch):
+        # The returned model is the searched prefix's model, not a rebuild.
+        net, _ = trained_net(rng, t=16)
+        val = teacher_dataset(net, rng)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return stabilize_subset(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "stabilize_subset", counting)
+        for verify in (False, True):
+            calls.clear()
+            model, trace = gmb_fast(net, val, cfg_p1(0.8), verify=verify)
+            assert trace.accepted and trace.verification_evaluations >= verify
+            assert len(calls) == trace.accuracy_evaluations + trace.verification_evaluations
+            np.testing.assert_array_equal(
+                model.W1, stabilize_subset(net, trace.accepted, PNorm(1.0), ExactChow()).W1
+            )
 
     def test_empty_when_nothing_feasible(self, rng):
         net, _ = trained_net(rng)

@@ -185,6 +185,14 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_covariance_model(p)
 
+    def test_non_finite_value_is_schema_error(self, rng, tmp_path):
+        path = tmp_path / "cov.txt"
+        save_covariance_model(fit(rng.normal(size=(100, 3))), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join("D=nan,1,1" if ln.startswith("D=") else ln for ln in lines) + "\n")
+        with pytest.raises(SchemaError):
+            load_covariance_model(path)
+
     def test_validate_catches_broken_orthogonality(self, rng):
         model = fit(rng.normal(size=(100, 3)))
         broken = CovarianceModel(
