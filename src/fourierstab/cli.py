@@ -3,8 +3,8 @@
 Every output file begins with a single '# config:' header line that records
 the subcommand and every parsed argument except the output paths, so
 re-running a command with the same flags reproduces the file byte for byte.
-Each argument is one key=value token: a value holding whitespace is written
-shell-quoted, so it stays one token.
+Each argument is one key=value token: a value holding whitespace, a quote or
+a backslash is written shell-quoted, so shlex.split reads it back as one token.
 The one exception is the covariance model of 'gen-data --kind uniformize'
 (*.covmodel.txt), whose first line is its own '# covariance-model v1' tag.
 Machine-readable numbers carry 17 significant digits; human-readable tables
@@ -60,7 +60,7 @@ _NOT_CONFIG = frozenset({"command", "fn", "out", "out_model", "out_trace"})
 
 def _config_value(v) -> str:
     text = str(v)
-    return shlex.quote(text) if any(c.isspace() for c in text) else text
+    return shlex.quote(text) if any(c.isspace() or c in "'\"\\" for c in text) else text
 
 
 def _config_header(args: argparse.Namespace) -> str:
@@ -74,6 +74,23 @@ def _write(path, header: str, lines) -> None:
         fh.write(header + "\n")
         for ln in lines:
             fh.write(ln + "\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a number that must be finite."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
+def _finite_floats(text: str) -> str:
+    """argparse type of a comma-separated list of finite numbers, kept as
+    given so the config header records it unchanged."""
+    if text:
+        for part in text.split(","):
+            _finite_float(part)
+    return text
 
 
 def _parse_p(text: str) -> PNorm:
@@ -120,6 +137,9 @@ def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_
 def cmd_gen_data(args) -> int:
     if args.kind == "uniformize":
         return _gen_data_uniformize(args)
+    for flag, m in (("--train", args.train), ("--val", args.val), ("--test", args.test)):
+        if m < 1:
+            raise ValueError(f"{flag} must be at least 1, got {m}")
     rng = np.random.default_rng(args.seed)
     sizes = {"train": args.train, "validation": args.val, "test": args.test}
     total = sum(sizes.values())
@@ -375,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilon", type=float, required=True)
+    sp.add_argument("--epsilon", type=_finite_float, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_attack)
 
@@ -383,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilons", required=True, help="comma-separated l1 budgets")
+    sp.add_argument("--epsilons", type=_finite_floats, required=True, help="comma-separated l1 budgets")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_eval)
 
@@ -391,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--unit", type=int, required=True)
     sp.add_argument("--p", default="1")
-    sp.add_argument("--mus", default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
+    sp.add_argument("--mus", type=_finite_floats, default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_bounds)

@@ -4,10 +4,16 @@ Function handles used throughout the package are vectorized: a handle maps
 an (m, n) array with entries in {-1, +1} to an (m,) array of outputs.
 Boolean-valued handles return exactly +-1; real-valued handles (for example
 a sigmoid unit) may return anything in [-1, 1].
+
+The cube for n <= 16 is built once per process and shared: exact sweeps hand
+handles read-only views of it, so a handle must not write into its input
+(doing so raises ValueError). Larger cubes are assembled chunk by chunk from
+that cached block and are not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,19 +23,46 @@ from .errors import CapacityError, DimensionError
 
 DEFAULT_ENUMERATION_CAP = 22
 
+# Monte-Carlo estimation refuses to draw more samples than exact enumeration
+# at the default cap would visit.
+MC_SAMPLE_CAP = 1 << DEFAULT_ENUMERATION_CAP
+
 # Inputs are enumerated in chunks so the cap can be raised without
 # materializing a 2^n-by-n matrix all at once.
 _CHUNK_BITS = 16
+
+
+@functools.cache
+def _cube_block(b: int) -> np.ndarray:
+    """The whole of {-1,+1}^b in canonical order, built once per process and
+    read-only, for b <= _CHUNK_BITS (all of them together take about 16 MB)."""
+    idx = np.arange(1 << b, dtype=np.int64)
+    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(b, dtype=np.int64)[None, :]) & 1)
+    X.flags.writeable = False
+    return X
 
 
 def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop of the canonical enumeration of {-1,+1}^n.
 
     Row k has x_j = +1 when bit j of k is 0, so row 0 is the all-ones input.
+    For n <= _CHUNK_BITS the rows are a read-only view of the cached cube
+    (the cube itself when all rows are asked for). Above that the rows are a
+    new array: the low _CHUNK_BITS columns repeat the cached cube, and the
+    high columns hold the bits of k >> _CHUNK_BITS, constant within each run
+    of 2^_CHUNK_BITS rows.
     """
-    idx = np.arange(start, stop, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (1.0 - 2.0 * bits).astype(np.float64)
+    if n <= _CHUNK_BITS:
+        block = _cube_block(n)
+        return block if (start, stop) == (0, len(block)) else block[start:stop]
+    low, mask = _cube_block(_CHUNK_BITS), (1 << _CHUNK_BITS) - 1
+    high = np.arange(_CHUNK_BITS, n, dtype=np.int64)
+    X = np.empty((stop - start, n))
+    for s in (start, *range((start | mask) + 1, stop, mask + 1)):
+        base, e = s & ~mask, min(stop, (s | mask) + 1)
+        X[s - start : e - start, :_CHUNK_BITS] = low[s - base : e - base]
+        X[s - start : e - start, _CHUNK_BITS:] = 1.0 - 2.0 * ((s >> high) & 1)
+    return X
 
 
 def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -117,12 +150,16 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
     of the truth. Deterministic given the seed (an int or SeedSequence). The
     samples are drawn in chunks of at most 2^_CHUNK_BITS rows, which consume
     the generator's stream exactly as one draw of all of them would.
+    When the bound asks for more than MC_SAMPLE_CAP samples, CapacityError is
+    raised before any is drawn.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     m = mc_sample_count(n, epsilon, delta)
+    if m > MC_SAMPLE_CAP:
+        raise CapacityError(f"{m} samples for epsilon={epsilon} exceed the sample cap {MC_SAMPLE_CAP}")
     rng = np.random.default_rng(seed)
     total, step = 0.0, 1 << _CHUNK_BITS
     for start in range(0, m, step):

@@ -71,6 +71,14 @@ class TestGenData:
             b = (tmp_path / f"b.{split}.csv").read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("flag, size", [("--train", 0), ("--val", 0), ("--test", 0), ("--train", -5)])
+    def test_bad_split_size_writes_nothing(self, tmp_path, capsys, flag, size):
+        sizes = {"--train": 30, "--val": 20, "--test": 20, flag: size}
+        argv = ["gen-data", "--kind", "planted-ltf", "--n", 4, "--out", tmp_path / "d"]
+        assert run(*argv, *[str(a) for kv in sizes.items() for a in kv]) == EXIT_PARAMS
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_header_present(self, tmp_path):
         prefix = tmp_path / "d"
         run("gen-data", "--kind", "noisy-majority", "--n", 4, "--train", 10,
@@ -290,6 +298,37 @@ class TestExitCodes:
             "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
         ) == EXIT_PARAMS
 
+    def test_mc_sample_cap(self, workspace, tmp_path):
+        _, prefix, model = workspace
+        assert run(
+            "select", "--model", model, "--data", prefix, "--beta", 0.0, "--chow-mode", "mc",
+            "--chow-epsilon", 1e-9, "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
+        ) == EXIT_CAPACITY
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--epsilons", "inf"],
+            ["eval", "--epsilons", "0,2,nan"],
+            ["attack", "--epsilon", "inf"],
+            ["attack", "--epsilon=-inf"],
+            ["bounds", "--unit", "0", "--mus", "inf"],
+            ["bounds", "--unit", "0", "--mus", "0,-inf"],
+        ],
+        ids=["eval-inf", "eval-nan", "attack-inf", "attack-neg-inf", "bounds-inf", "bounds-neg-inf"],
+    )
+    def test_non_finite_number_is_param_error(self, workspace, tmp_path, capsys, argv):
+        _, prefix, model = workspace
+        out = tmp_path / "o.csv"
+        data = [] if argv[0] == "bounds" else ["--data", prefix]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--model", model, *data, "--out", out)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert "not a finite number" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_degenerate_error(self, tmp_path):
         # A constant unit has a zero coefficient vector; the p=2 bound report
         # cannot normalize it.
@@ -344,17 +383,28 @@ def test_config_header_records_every_parsed_argument(workspace, tmp_path, rng, n
         assert dict(pairs) == expected
 
 
-def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
-    _, prefix, _ = workspace
-    spaced = tmp_path / "my dir" / "d"
-    spaced.parent.mkdir()
+def _header_round_trip(prefix, tmp_path, data):
+    """Copy the dataset at `prefix` to the path prefix `data`, train on it, and
+    check that shlex splits the model's header back into the parsed arguments."""
+    data.parent.mkdir(exist_ok=True)
     for split in ("train", "validation", "test"):
-        shutil.copy(f"{prefix}.{split}.csv", f"{spaced}.{split}.csv")
-    argv = ["train", "--data", str(spaced), "--width", "3", "--epochs", "1", "--out", str(tmp_path / "o")]
+        shutil.copy(f"{prefix}.{split}.csv", f"{data}.{split}.csv")
+    argv = ["train", "--data", str(data), "--width", "3", "--epochs", "1", "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_OK
     tokens = shlex.split(open(tmp_path / "o").readline())
     assert tokens[:3] == ["#", "config:", "cmd=train"]
     args = vars(build_parser().parse_args(argv))
     expected = {k: str(v) for k, v in args.items() if k not in _NOT_CONFIG}
     assert dict(tok.partition("=")[::2] for tok in tokens[3:]) == expected
-    assert expected["data"] == str(spaced)
+    assert expected["data"] == str(data)
+
+
+def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
+    _, prefix, _ = workspace
+    _header_round_trip(prefix, tmp_path, tmp_path / "my dir" / "d")
+
+
+@pytest.mark.parametrize("name", ["it's", '"hi"', "back\\slash", "it's \\ \"all\""])
+def test_config_header_quotes_values_with_quotes_and_backslashes(workspace, tmp_path, name):
+    _, prefix, _ = workspace
+    _header_round_trip(prefix, tmp_path, tmp_path / name / "d")

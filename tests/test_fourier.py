@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import constant, dictator, majority3, random_ltf
 from fourierstab.errors import CapacityError, DimensionError
 from fourierstab.fourier import (
+    MC_SAMPLE_CAP,
     ChowEstimate,
     ExactChow,
     MonteCarloChow,
@@ -20,6 +21,13 @@ from fourierstab.fourier import (
     mc_sample_count,
     parity,
     plancherel_inner,
+)
+from fourierstab.neuron import (
+    LinearThresholdNeuron,
+    PNorm,
+    disagreement_exact,
+    norm,
+    robustness_exact,
 )
 
 
@@ -112,6 +120,24 @@ class TestChowMc:
             chow_mc(majority3, 3, -0.1, 0.1, seed=0)
         with pytest.raises(ValueError):
             chow_mc(majority3, 3, 0.1, 1.5, seed=0)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                chow_mc(majority3, 3, eps, 0.1, seed=0)
+
+    def test_sample_cap_refuses_before_drawing(self):
+        calls = 0
+
+        def f(X):
+            nonlocal calls
+            calls += 1
+            return majority3(X)
+
+        assert mc_sample_count(3, 1e-9, 0.01) > MC_SAMPLE_CAP == 1 << 22
+        with pytest.raises(CapacityError):
+            chow_mc(f, 3, 1e-9, 0.01, seed=0)
+        with pytest.raises(CapacityError):
+            MonteCarloChow(epsilon=1e-9, delta=0.01, seed=0).estimate(f, 3)
+        assert calls == 0
 
     def test_bounded_chunks_replay_one_draw(self):
         largest = 0
@@ -254,3 +280,67 @@ class TestChowSources:
 def test_cube_chunk_canonical_order():
     X = cube_chunk(2, 0, 4)
     np.testing.assert_array_equal(X, [[1, 1], [-1, 1], [1, -1], [-1, -1]])
+
+
+def cube_chunk_shift(n, start, stop):
+    """Reference: the bit-shift formula that built every chunk before the cube
+    was cached."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
+    return (1.0 - 2.0 * bits).astype(np.float64)
+
+
+class TestCubeCache:
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_small_cube_is_one_read_only_object(self, n):
+        X = cube_chunk(n, 0, 1 << n)
+        assert cube_chunk(n, 0, 1 << n) is X
+        assert X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable
+        np.testing.assert_array_equal(X, cube_chunk_shift(n, 0, 1 << n))
+        with pytest.raises(ValueError):
+            X[0, 0] = -1.0
+        part = cube_chunk(n, 1, 2)
+        np.testing.assert_array_equal(part, cube_chunk_shift(n, 1, 2))
+        with pytest.raises(ValueError):
+            part[0, 0] = -1.0
+        assert X[0, 0] == 1.0
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_large_cube_chunks_match_shift_formula(self, n):
+        chunks = list(enumerate_cube(n))
+        assert len(chunks) == 1 << (n - 16)
+        for k, X in enumerate(chunks):
+            np.testing.assert_array_equal(X, cube_chunk_shift(n, k << 16, (k + 1) << 16))
+            assert X.flags.writeable and not np.shares_memory(X, cube_chunk(16, 0, 1 << 16))
+        assert not np.shares_memory(chunks[0], cube_chunk(n, 0, 1 << 16))
+        for start, stop in [(0, 3), (65530, 65542), (1, 200000), ((1 << n) - 5, 1 << n)]:
+            np.testing.assert_array_equal(cube_chunk(n, start, stop), cube_chunk_shift(n, start, stop))
+
+    def test_sweeps_at_n17_equal_reference_sums(self, rng):
+        n, size = 17, float(1 << 17)
+        X = cube_chunk_shift(n, 0, 1 << n)
+        # Integer weights and a half-integer threshold keep every sum exact.
+        a = LinearThresholdNeuron(rng.integers(-3, 4, size=n).astype(np.float64), 0.5)
+        b = LinearThresholdNeuron(rng.integers(-3, 4, size=n).astype(np.float64), -1.5)
+        f, g = a.handle(), b.handle()
+        fx = f(X)
+        est = chow_exact(f, n)
+        assert est.h_empty == fx.sum() / size
+        np.testing.assert_array_equal(est.h_vec, (fx @ X) / size)
+        flip = np.where(np.arange(n) == 3, -1.0, 1.0)
+        assert influence(f, 3, n) == np.count_nonzero(fx != f(X * flip)) / size
+        p = PNorm(2.0)
+        expected = float(np.abs(X @ a.w - a.theta).sum() / size) / norm(a.w, p.q)
+        assert robustness_exact(a, p) == expected
+        assert disagreement_exact(f, g, n) == np.count_nonzero(fx != g(X)) / size
+
+    def test_handle_writing_into_its_input_raises(self):
+        def vandal(X):
+            X[:, 0] = 1.0
+            return X[:, 0]
+
+        with pytest.raises(ValueError):
+            chow_exact(vandal, 3)
+        est = chow_exact(dictator(0), 3)
+        assert est.h_empty == 0.0
+        np.testing.assert_array_equal(est.h_vec, [1.0, 0.0, 0.0])
