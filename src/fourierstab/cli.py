@@ -84,6 +84,22 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of an integer that must be at least 1."""
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return v
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of an integer that must be at least 0."""
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+    return v
+
+
 def _finite_floats(text: str) -> str:
     """argparse type of a comma-separated list of finite numbers, kept as
     given so the config header records it unchanged."""
@@ -308,18 +324,18 @@ def cmd_bounds(args) -> int:
         base = ltf.theta / math.sqrt(net.n)
         mus = [0.0, base / 2.0, base, 2.0 * base]
     lines = ["mu,gamma,bound,bound_clamped,epsilon_be,sigma,e_mu,alpha"]
+    reps = []
     for mu in mus:
-        if p.p == 1.0:
-            rep = accuracy_bound_p1(est, net.n, mu)
-        else:
-            rep = accuracy_bound_lp(est, p, mu)
-        opt = lambda v: _FMT % v if v is not None else "nan"
-        lines.append(
-            f"{_FMT % mu},{_FMT % rep.gamma},{_FMT % rep.bound},{_FMT % rep.bound_clamped},"
-            f"{_FMT % rep.epsilon_be},{opt(rep.sigma)},{opt(rep.e_mu)},{opt(rep.alpha)}"
-        )
-        print(f"mu={mu:.6g} gamma={rep.gamma:.6g} bound={rep.bound:.6g}")
+        rep = accuracy_bound_p1(est, net.n, mu) if p.p == 1.0 else accuracy_bound_lp(est, p, mu)
+        # sigma, e_mu and alpha are None where the bound for this p has no such term.
+        values = (rep.gamma, rep.bound, rep.bound_clamped, rep.epsilon_be, rep.sigma, rep.e_mu, rep.alpha)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"mu={mu:g} gives a non-finite bound report")
+        lines.append(",".join([_FMT % mu] + ["nan" if v is None else _FMT % v for v in values]))
+        reps.append(rep)
     _write(args.out, _config_header(args), lines)
+    for rep in reps:
+        print(f"mu={rep.mu:.6g} gamma={rep.gamma:.6g} bound={rep.bound:.6g}")
     return EXIT_OK
 
 
@@ -335,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate synthetic +-1 datasets")
     sp.add_argument("--kind", choices=["planted-ltf", "planted-mlp", "noisy-majority", "uniformize"], required=True)
-    sp.add_argument("--n", type=int, default=20)
+    sp.add_argument("--n", type=_positive_int, default=20)
     sp.add_argument("--train", type=int, default=1000)
     sp.add_argument("--val", type=int, default=500)
     sp.add_argument("--test", type=int, default=500)
     sp.add_argument("--noise", type=float, default=0.0)
-    sp.add_argument("--teacher-width", type=int, default=8)
+    sp.add_argument("--teacher-width", type=_positive_int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--input", help="real-valued CSV matrix (uniformize only)")
     sp.add_argument("--labels", help="optional +-1 label file, one per row (uniformize only)")
@@ -350,15 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("train", cmd_train), ("adv-train", cmd_adv_train)):
         sp = sub.add_parser(name)
         sp.add_argument("--data", required=True, help="dataset path prefix")
-        sp.add_argument("--width", type=int, default=32)
+        sp.add_argument("--width", type=_positive_int, default=32)
         sp.add_argument("--activation", choices=[a.value for a in Activation], default="logistic")
-        sp.add_argument("--epochs", type=int, default=20)
+        sp.add_argument("--epochs", type=_nonnegative_int, default=20)
         sp.add_argument("--lr", type=float, default=0.5)
-        sp.add_argument("--batch-size", type=int, default=64)
+        sp.add_argument("--batch-size", type=_positive_int, default=64)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         if name == "adv-train":
-            sp.add_argument("--at-epochs", type=int, default=2)
+            sp.add_argument("--at-epochs", type=_nonnegative_int, default=2)
             sp.add_argument("--at-epsilon", type=float, default=20.0)
         sp.set_defaults(fn=fn)
 

@@ -31,6 +31,13 @@ MC_SAMPLE_CAP = 1 << DEFAULT_ENUMERATION_CAP
 # materializing a 2^n-by-n matrix all at once.
 _CHUNK_BITS = 16
 
+# Monte-Carlo samples are drawn in chunks of at most this many cells (rows
+# times n), so each chunk's arrays (about 128 KB) are reused from the heap.
+# Arrays of megabytes go back to the OS when freed and are page-faulted in
+# again on the next call; much smaller chunks cost more in per-chunk calls
+# than they save.
+_MC_CHUNK_CELLS = 1 << 14
+
 
 @functools.cache
 def _cube_block(b: int) -> np.ndarray:
@@ -117,9 +124,15 @@ def parity(subset, x) -> float:
     return out
 
 
-def mc_sample_count(n: int, epsilon: float, delta: float) -> int:
-    """Hoeffding sample size with a union bound over the n+1 coefficients."""
-    return math.ceil(math.log(2.0 * (n + 1) / delta) / (2.0 * epsilon**2))
+def mc_sample_count(n: int, epsilon: float, delta: float) -> int | float:
+    """Hoeffding sample size with a union bound over the n+1 coefficients.
+
+    math.inf when the size is too large for a float, as when epsilon**2
+    underflows to 0 (epsilon below about 1e-162).
+    """
+    two_eps_sq = 2.0 * epsilon**2
+    m = math.log(2.0 * (n + 1) / delta) / two_eps_sq if two_eps_sq else math.inf
+    return math.ceil(m) if m < math.inf else math.inf
 
 
 def cube_mean(g, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -148,8 +161,10 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
 
     With probability >= 1-delta every coefficient estimate is within epsilon
     of the truth. Deterministic given the seed (an int or SeedSequence). The
-    samples are drawn in chunks of at most 2^_CHUNK_BITS rows, which consume
-    the generator's stream exactly as one draw of all of them would.
+    samples are drawn in chunks of at most _MC_CHUNK_CELLS cells (one row at
+    least), so each chunk's arrays are reused from the heap instead of being
+    faulted in afresh; the chunks consume the generator's stream exactly as
+    one draw of all of them would.
     When the bound asks for more than MC_SAMPLE_CAP samples, CapacityError is
     raised before any is drawn.
     """
@@ -159,9 +174,11 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
         raise ValueError("delta must lie in (0, 1)")
     m = mc_sample_count(n, epsilon, delta)
     if m > MC_SAMPLE_CAP:
-        raise CapacityError(f"{m} samples for epsilon={epsilon} exceed the sample cap {MC_SAMPLE_CAP}")
+        raise CapacityError(
+            f"epsilon={epsilon:g} needs {m:.3g} samples, over the sample cap {MC_SAMPLE_CAP}"
+        )
     rng = np.random.default_rng(seed)
-    total, step = 0.0, 1 << _CHUNK_BITS
+    total, step = 0.0, max(1, _MC_CHUNK_CELLS // max(n, 1))
     for start in range(0, m, step):
         total = total + _chow_sum(f, 1.0 - 2.0 * rng.integers(0, 2, size=(min(step, m - start), n)))
     h = total / m

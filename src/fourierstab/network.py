@@ -29,14 +29,21 @@ class Activation(enum.Enum):
     TANH = "tanh"
     RELU = "relu"
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The activation of the array z. With out (numpy's ufunc convention;
+        it may be z itself) the result is written there without full-size
+        temporaries; sign ignores out."""
         if self is Activation.SIGN:
             return sign_pm1(z)
         if self is Activation.LOGISTIC:
-            return 1.0 / (1.0 + np.exp(-z))
+            # 1 / (1 + exp(-z)), one operation at a time in one buffer.
+            out = np.negative(z, out=out)
+            np.exp(out, out=out)
+            out += 1.0
+            return np.divide(1.0, out, out=out)
         if self is Activation.TANH:
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
+            return np.tanh(z, out=out)
+        return np.maximum(z, 0.0, out=out)
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         """d act/dz given pre-activation z and activation a (sign has none)."""
@@ -84,7 +91,15 @@ class BinaryMlp:
         return self.W1.shape[0]
 
     def hidden(self, X: np.ndarray) -> np.ndarray:
-        return self.act.apply(X @ self.W1.T + self.b1)
+        """Hidden activations act(X @ W1.T + b1), for a batch or one input.
+
+        The bias and the activation go into the matmul's own result, so a
+        forward pass allocates one full-size buffer; fresh multi-megabyte
+        temporaries per call would otherwise dominate the greedy attack.
+        """
+        Z = X @ self.W1.T
+        Z += self.b1
+        return self.act.apply(Z, out=Z)
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.hidden(X) @ self.W2 + self.b2

@@ -298,13 +298,52 @@ class TestExitCodes:
             "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
         ) == EXIT_PARAMS
 
-    def test_mc_sample_cap(self, workspace, tmp_path):
+    def test_mc_sample_cap(self, workspace, tmp_path, capsys):
         _, prefix, model = workspace
-        assert run(
-            "select", "--model", model, "--data", prefix, "--beta", 0.0, "--chow-mode", "mc",
-            "--chow-epsilon", 1e-9, "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
-        ) == EXIT_CAPACITY
-        assert not (tmp_path / "m.txt").exists()
+        # 1e-200 squares to 0; the sample count must still trip the cap.
+        for eps in (1e-9, 1e-150, 1e-200):
+            assert run(
+                "select", "--model", model, "--data", prefix, "--beta", 0.0, "--chow-mode", "mc",
+                "--chow-epsilon", eps, "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
+            ) == EXIT_CAPACITY
+            assert not (tmp_path / "m.txt").exists()
+            assert len(capsys.readouterr().err) < 100
+
+    def test_non_finite_bound_report_is_param_error(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        out = tmp_path / "o.csv"
+        # mu=1e308 is finite, but at p=1 its gamma overflows.
+        assert run("bounds", "--model", model, "--unit", 0, "--p", "1",
+                   "--mus", "0,1e308", "--out", out) == EXIT_PARAMS
+        captured = capsys.readouterr()
+        assert "non-finite bound report" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen-data", "--kind", "planted-ltf", "--n", "0"], "--n"),
+            (["gen-data", "--kind", "planted-mlp", "--teacher-width", "0"], "--teacher-width"),
+            (["train", "--width", "0"], "--width"),
+            (["train", "--epochs", "-1"], "--epochs"),
+            (["train", "--batch-size", "0"], "--batch-size"),
+            (["adv-train", "--width", "-3"], "--width"),
+            (["adv-train", "--at-epochs", "-1"], "--at-epochs"),
+        ],
+        ids=["n", "teacher-width", "width", "epochs", "batch-size", "adv-width", "at-epochs"],
+    )
+    def test_out_of_range_integer_is_param_error(self, workspace, tmp_path, capsys, argv, flag):
+        _, prefix, _ = workspace
+        out = tmp_path / "out" / "o"
+        out.parent.mkdir()
+        data = [] if argv[0] == "gen-data" else ["--data", prefix]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *data, "--out", out)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in err and "Traceback" not in err
+        assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

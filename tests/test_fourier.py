@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,10 +134,14 @@ class TestChowMc:
             return majority3(X)
 
         assert mc_sample_count(3, 1e-9, 0.01) > MC_SAMPLE_CAP == 1 << 22
-        with pytest.raises(CapacityError):
-            chow_mc(f, 3, 1e-9, 0.01, seed=0)
-        with pytest.raises(CapacityError):
-            MonteCarloChow(epsilon=1e-9, delta=0.01, seed=0).estimate(f, 3)
+        # Below about 1e-162 epsilon**2 underflows; the count is then infinite.
+        assert mc_sample_count(3, 1e-200, 0.01) == math.inf
+        for eps in (1e-9, 1e-150, 1e-160, 1e-200, 5e-324):
+            with pytest.raises(CapacityError) as exc:
+                chow_mc(f, 3, eps, 0.01, seed=0)
+            assert len(str(exc.value)) < 100
+            with pytest.raises(CapacityError):
+                MonteCarloChow(epsilon=eps, delta=0.01, seed=0).estimate(f, 3)
         assert calls == 0
 
     def test_bounded_chunks_replay_one_draw(self):
@@ -150,13 +155,46 @@ class TestChowMc:
         m = mc_sample_count(2, 0.005, 0.01)
         est = chow_mc(f, 2, 0.005, 0.01, np.random.SeedSequence(entropy=9, spawn_key=(4,)))
         assert m > 1 << 16 and est.samples == m
-        assert largest <= 1 << 16
+        assert largest <= (1 << 14) // 2
         # Reference: every sample from one draw of the same stream.
         rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(4,)))
         X = (1.0 - 2.0 * rng.integers(0, 2, size=(m, 2))).astype(np.float64)
         fx = f(X)
         assert est.h_empty == float(fx.mean())
         np.testing.assert_array_equal(est.h_vec, (fx @ X) / m)
+
+    def test_odd_width_chunks_replay_one_draw(self):
+        # n = 17: every chunk holds an odd number of cells, so chunk edges
+        # fall inside the generator's 64-bit words.
+        n, rows = 17, []
+        f = random_ltf(np.random.default_rng(5), n).handle()
+
+        def g(X):
+            rows.append(X.shape[0])
+            return f(X)
+
+        est = chow_mc(g, n, 0.02, 0.01, seed=21)
+        m = mc_sample_count(n, 0.02, 0.01)
+        assert est.samples == m == sum(rows) and len(rows) >= 5
+        assert max(rows) <= (1 << 14) // n
+        rng = np.random.default_rng(21)
+        X = 1.0 - 2.0 * rng.integers(0, 2, size=(m, n))
+        fx = f(X)
+        assert est.h_empty == float(fx.sum()) / m
+        np.testing.assert_array_equal(est.h_vec, (fx @ X) / m)
+
+    def test_peak_memory_of_one_estimate(self):
+        n = 32
+        f = random_ltf(np.random.default_rng(6), n).handle()
+        chow_mc(f, n, 0.1, 0.01, seed=0)
+        tracemalloc.start()
+        try:
+            est = chow_mc(f, n, 0.005, 0.01, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.samples == 175897
+        assert peak < 1 << 20
 
 
 class TestInfluence:

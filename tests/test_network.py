@@ -1,6 +1,7 @@
 import math
 import re
 import string
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from fourierstab.network import (
     stabilize_subset,
     train_sgd,
 )
-from fourierstab.neuron import PNorm, norm, robustness_exact
+from fourierstab.neuron import PNorm, norm, robustness_exact, sign_pm1
 
 
 def small_net(act=Activation.SIGN):
@@ -105,6 +106,60 @@ class TestActivation:
             num = (a.apply(z + eps) - a.apply(z - eps)) / (2 * eps)
             ana = a.derivative(z, a.apply(z))
             np.testing.assert_allclose(ana, num, atol=1e-6)
+
+
+def apply_reference(act, z):
+    """Each activation as one expression, each step a new array."""
+    if act is Activation.SIGN:
+        return sign_pm1(z)
+    if act is Activation.LOGISTIC:
+        return 1.0 / (1.0 + np.exp(-z))
+    if act is Activation.TANH:
+        return np.tanh(z)
+    return np.maximum(z, 0.0)
+
+
+def random_net(rng, act, t, n):
+    return BinaryMlp(
+        rng.normal(size=(t, n)), rng.normal(size=t), act, rng.normal(size=t), 0.1, fresh_mask(t)
+    )
+
+
+class TestHidden:
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_matches_reference_expression(self, rng, act):
+        net = random_net(rng, act, 40, 24)
+        # Scaled so logistic and tanh also meet saturated and overflowing inputs.
+        X = rng.choice([-1.0, 1.0], size=(300, 24)) * 200.0
+        X[:5] = rng.choice([-1.0, 1.0], size=(5, 24))
+        with np.errstate(over="ignore"):
+            for x in (X, X[7]):  # a batch, and one input (a vector-matrix product)
+                np.testing.assert_array_equal(
+                    net.hidden(x), apply_reference(act, x @ net.W1.T + net.b1)
+                )
+            assert net.hidden(X[7]).shape == (40,)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_apply_without_out_leaves_input(self, rng, act):
+        z = rng.normal(size=(50, 7)) * 5.0
+        before = z.copy()
+        np.testing.assert_array_equal(act.apply(z), apply_reference(act, before))
+        np.testing.assert_array_equal(z, before)
+
+    @pytest.mark.parametrize("act", [Activation.LOGISTIC, Activation.TANH, Activation.RELU])
+    def test_one_buffer_per_forward_pass(self, rng, act):
+        m, t, n = 4096, 128, 64
+        net = random_net(rng, act, t, n)
+        X = rng.choice([-1.0, 1.0], size=(m, n))
+        net.hidden(X[:8])
+        tracemalloc.start()
+        try:
+            H = net.hidden(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.nbytes == m * t * 8
+        assert peak <= 1.25 * H.nbytes
 
 
 class TestLabeledDataset:
