@@ -1,10 +1,15 @@
 """Greedy bit-flip evasion attack on +-1 inputs and the training loop that
 hardens against it.
 
-Impact is measured by exact one-flip forward evaluation of the logistic loss
-rather than a gradient saliency map: models here are small enough that the
-exact version is cheap, and it sidesteps the gradient-vs-discrete mismatch.
-A bit flip costs 2 in l1, so a budget epsilon allows floor(epsilon/2) flips.
+Impact is measured by one-flip forward evaluation of the logistic loss rather
+than a gradient saliency map: models here are small enough that the forward
+version is cheap, and it sidesteps the gradient-vs-discrete mismatch. Flipping
+x_i adds -2*x_i*W1[:, i] to every unit's pre-activation, so a variant's
+pre-activations are the row's own plus one column of W1, not a matmul of the
+flipped row; they can differ from that matmul in the last bits. Whether a
+flip changes the prediction is still decided by a forward pass of the
+flipped row. A bit flip costs 2 in l1, so a budget epsilon allows
+floor(epsilon/2) flips.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ class AttackBudget:
     epsilon_l1: float
 
     def __post_init__(self):
-        if self.epsilon_l1 < 0.0:
-            raise ValueError("epsilon_l1 must be >= 0")
+        if not (math.isfinite(self.epsilon_l1) and self.epsilon_l1 >= 0.0):
+            raise ValueError(f"epsilon_l1 must be finite and >= 0, got {self.epsilon_l1}")
 
     @property
     def max_flips(self) -> int:
@@ -44,18 +49,31 @@ class AttackOutcome:
 _CHUNK_VARIANTS = 4096
 
 
-def _loss(net: BinaryMlp, X: np.ndarray, y) -> np.ndarray:
-    """Logistic loss of the prediction margin against label y."""
-    return np.logaddexp(0.0, -np.asarray(y) * net.margin(X))
-
-
 def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Loss increase from flipping each single coordinate of each row of X."""
+    """Loss increase from flipping each single coordinate of each +-1 row of X.
+
+    Every unit's pre-activation in every single-flip variant is the row's own
+    P = X @ W1.T + b1 plus -2*x_i*W1[:, i], taken from a (2n, t) table by the
+    sign of x_i: one (m, n, t) buffer, filled, shifted by P and activated in
+    place. The base margin follows BinaryMlp.margin's operation order, so the
+    base loss equals the one a forward pass gives.
+    """
     m, n = X.shape
-    variants = np.repeat(X, n, axis=0)
-    flat, cols = np.arange(m * n), np.tile(np.arange(n), m)
-    variants[flat, cols] = -variants[flat, cols]
-    return (_loss(net, variants, np.repeat(y, n)) - np.repeat(_loss(net, X, y), n)).reshape(m, n)
+    P = X @ net.W1.T
+    P += net.b1
+    W = 2.0 * net.W1.T
+    V = np.take(np.concatenate([-W, W]), np.arange(n) + n * (X < 0.0), axis=0)
+    V += P[:, None, :]
+    V = net.act.apply(V, out=V)
+    mid = net.act.midpoint
+    variant = (V.reshape(m * n, net.t) @ net.W2 + net.b2 - mid).reshape(m, n)
+    base = net.act.apply(P, out=P) @ net.W2 + net.b2 - mid
+    return np.logaddexp(0.0, -y[:, None] * variant) - np.logaddexp(0.0, -y * base)[:, None]
+
+
+def _check_pm1(X: np.ndarray) -> None:
+    if not np.all(np.abs(X) == 1.0):
+        raise ValueError("features must be exactly +-1")
 
 
 def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
@@ -63,6 +81,7 @@ def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.n,):
         raise DimensionError(f"x has shape {x.shape}, expected ({net.n},)")
+    _check_pm1(x)
     return _impacts(net, x[None, :], np.array([y], dtype=np.float64))[0]
 
 
@@ -82,6 +101,7 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n:
         raise DimensionError(f"X has shape {X.shape}, expected (m, {net.n})")
+    _check_pm1(X)
     m, n = X.shape
     rounds = max(0, min(k, n))
     order = np.full((m, rounds), -1, dtype=np.intp)

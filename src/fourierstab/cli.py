@@ -84,6 +84,20 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
+    """argparse type of a finite number from lo to hi; an open end excludes
+    its bound, and an infinite bound is never reached."""
+    interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open or math.isinf(hi) else ']'}"
+
+    def number(text: str) -> float:
+        v = _finite_float(text)
+        if not (lo < v if lo_open else lo <= v) or not (v < hi if hi_open else v <= hi):
+            raise argparse.ArgumentTypeError(f"must be in {interval}: {text!r}")
+        return v
+
+    return number
+
+
 def _positive_int(text: str) -> int:
     """argparse type of an integer that must be at least 1."""
     v = int(text)
@@ -121,8 +135,8 @@ def _chow_source(args):
 
 def _add_chow_flags(sp):
     sp.add_argument("--chow-mode", choices=["exact", "mc"], default="exact")
-    sp.add_argument("--chow-epsilon", type=float, default=0.05)
-    sp.add_argument("--chow-delta", type=float, default=0.01)
+    sp.add_argument("--chow-epsilon", type=_float_in(0.0, math.inf, lo_open=True), default=0.05)
+    sp.add_argument("--chow-delta", type=_float_in(0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
     sp.add_argument("--cap", type=int, default=22)
 
@@ -355,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train", type=int, default=1000)
     sp.add_argument("--val", type=int, default=500)
     sp.add_argument("--test", type=int, default=500)
-    sp.add_argument("--noise", type=float, default=0.0)
+    sp.add_argument("--noise", type=_float_in(0.0, 1.0), default=0.0)
     sp.add_argument("--teacher-width", type=_positive_int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--input", help="real-valued CSV matrix (uniformize only)")
@@ -369,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--width", type=_positive_int, default=32)
         sp.add_argument("--activation", choices=[a.value for a in Activation], default="logistic")
         sp.add_argument("--epochs", type=_nonnegative_int, default=20)
-        sp.add_argument("--lr", type=float, default=0.5)
+        sp.add_argument("--lr", type=_float_in(0.0, math.inf), default=0.5)
         sp.add_argument("--batch-size", type=_positive_int, default=64)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         if name == "adv-train":
             sp.add_argument("--at-epochs", type=_nonnegative_int, default=2)
-            sp.add_argument("--at-epsilon", type=float, default=20.0)
+            sp.add_argument("--at-epsilon", type=_float_in(0.0, math.inf), default=20.0)
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("chow", help="degree-<=1 coefficients of a first-layer unit")
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset path prefix (validation split used)")
     sp.add_argument("--algorithm", choices=["gmb", "gmbc", "gmb-fast"], default="gmb")
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--a-bar", type=float, default=None)
+    sp.add_argument("--a-bar", type=_float_in(0.0, math.inf, lo_open=True), default=None)
     sp.add_argument("--p", default="1")
     sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
     _add_chow_flags(sp)

@@ -10,6 +10,7 @@ and only the accuracy side is adaptive.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,8 +41,8 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.a_bar is not None and self.a_bar <= 0.0:
-            raise ValueError("a_bar must be positive")
+        if self.a_bar is not None and not (math.isfinite(self.a_bar) and self.a_bar > 0.0):
+            raise ValueError(f"a_bar must be finite and positive, got {self.a_bar}")
 
     def resolved_a_bar(self, m: int) -> float:
         # Half the smallest representable accuracy step on m examples.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fourierstab.attack import (
     _CHUNK_VARIANTS,
     AdvTrainConfig,
     AttackBudget,
+    _impacts,
     adversarial_train,
     attack_curve,
     flip_impact,
@@ -64,6 +66,17 @@ def greedy_reference(net, x, y, k, stop_on_change=True):
     return flips, changed
 
 
+def impacts_reference(net, X, y):
+    """Single-flip loss increases with every flipped row pushed through the
+    whole network: the construction the rank-1 update replaces."""
+    m, n = X.shape
+    loss = lambda Z, labels: np.logaddexp(0.0, -labels * net.margin(Z))
+    variants = np.repeat(X, n, axis=0)
+    flat, cols = np.arange(m * n), np.tile(np.arange(n), m)
+    variants[flat, cols] = -variants[flat, cols]
+    return (loss(variants, np.repeat(y, n)) - np.repeat(loss(X, y), n)).reshape(m, n)
+
+
 def min_flips_bruteforce(net, x, y, max_flips):
     """Smallest number of coordinate flips that changes the model's own
     prediction, by exhausting all subsets up to max_flips; None if impossible."""
@@ -89,6 +102,62 @@ class TestBudget:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             AttackBudget(-1.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            AttackBudget(eps)
+
+
+class TestImpacts:
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("n, t", [(1, 1), (3, 7), (16, 5), (33, 64)])
+    def test_matches_flipped_forward(self, rng, act, n, t):
+        net = random_mlp(rng, n, t=t, act=act)
+        X = rng.choice([-1.0, 1.0], size=(40, n))
+        y = rng.choice([-1.0, 1.0], size=40)
+        np.testing.assert_allclose(_impacts(net, X, y), impacts_reference(net, X, y), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.LOGISTIC])
+    def test_integer_weights_tie_bit_for_bit(self, rng, act):
+        # Integer weights make every pre-activation exact, so each variant
+        # reaches the activation with the same value a forward pass gives.
+        W1 = rng.integers(-3, 4, size=(6, 9)).astype(np.float64)
+        net = BinaryMlp(W1, rng.integers(-2, 3, size=6), act, rng.integers(-2, 3, size=6), 1.0, fresh_mask(6))
+        X = rng.choice([-1.0, 1.0], size=(30, 9))
+        y = rng.choice([-1.0, 1.0], size=30)
+        np.testing.assert_array_equal(_impacts(net, X, y), impacts_reference(net, X, y))
+        # Every coordinate plays the same part: all flips tie exactly, and
+        # greedy takes them in index order.
+        sym = BinaryMlp(np.array([[1.0] * 4, [2.0] * 4, [-1.0] * 4]), np.array([1.0, 0.0, -2.0]), act,
+                        np.array([2.0, 1.0, -1.0]), 0.0, fresh_mask(3))
+        x = np.ones((1, 4))
+        impacts = _impacts(sym, x, np.ones(1))
+        np.testing.assert_array_equal(impacts, impacts_reference(sym, x, np.ones(1)))
+        assert np.all(impacts == impacts[0, 0])
+        order, _ = greedy_flips(sym, x, np.ones(1), 4, stop_on_change=False)
+        assert list(order[0]) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("act", [Activation.LOGISTIC, Activation.TANH, Activation.RELU])
+    def test_peak_memory_is_one_variant_buffer(self, rng, act):
+        m, n, t = 64, 64, 128
+        net = random_mlp(rng, n, t=t, act=act)
+        X = rng.choice([-1.0, 1.0], size=(m, n))
+        y = rng.choice([-1.0, 1.0], size=m)
+        _impacts(net, X[:2], y[:2])
+        tracemalloc.start()
+        try:
+            _impacts(net, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * n * t * 8
+
+    def test_non_pm1_input_rejected(self):
+        with pytest.raises(ValueError, match="exactly"):
+            greedy_flips(MAJ3_NET, np.array([[1.0, 0.5, 1.0]]), np.ones(1), 1, True)
+        with pytest.raises(ValueError, match="exactly"):
+            flip_impact(MAJ3_NET, np.array([1.0, 1.0, np.nan]), 1.0)
 
 
 class TestFlipImpact:
@@ -214,7 +283,7 @@ class TestGreedyFlips:
     def test_matches_scalar_reference_across_chunks(self, rng, stop_on_change):
         n = 8
         m = _CHUNK_VARIANTS // n + 37  # more rows than one chunk holds
-        for act in (Activation.TANH, Activation.LOGISTIC, Activation.SIGN):
+        for act in (Activation.TANH, Activation.LOGISTIC, Activation.SIGN, Activation.RELU):
             net = random_mlp(rng, n, act=act)
             X = rng.choice([-1.0, 1.0], size=(m, n))
             y = rng.choice([-1.0, 1.0], size=m)
@@ -352,6 +421,14 @@ class TestAdversarialTraining:
         a = adversarial_train(data, cfg, AdvTrainConfig(4, 4.0))
         b = adversarial_train(data, cfg, AdvTrainConfig(4, 4.0))
         np.testing.assert_array_equal(a.W1, b.W1)
+
+    def test_non_finite_epsilon_rejected(self, rng):
+        X = rng.choice([-1.0, 1.0], size=(16, 4))
+        data = LabeledDataset(X, np.sign(X.sum(axis=1) + 0.5))
+        cfg = TrainConfig(2, Activation.LOGISTIC, 1, 0.5, 8, seed=9)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                adversarial_train(data, cfg, AdvTrainConfig(1, eps))
 
     def test_lineage_records_regime(self, rng):
         X = rng.choice([-1.0, 1.0], size=(32, 4))

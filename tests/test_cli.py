@@ -346,6 +346,69 @@ class TestExitCodes:
         assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen-data", "--kind", "planted-ltf", "--noise", "nan"], "--noise"),
+            (["gen-data", "--kind", "planted-ltf", "--noise", "3"], "--noise"),
+            (["gen-data", "--kind", "planted-ltf", "--noise=-0.1"], "--noise"),
+            (["train", "--lr", "nan"], "--lr"),
+            (["adv-train", "--lr=-0.5"], "--lr"),
+            (["adv-train", "--at-epsilon", "inf"], "--at-epsilon"),
+            (["adv-train", "--at-epsilon", "nan"], "--at-epsilon"),
+            (["adv-train", "--at-epsilon=-2"], "--at-epsilon"),
+            (["chow", "--unit", "0", "--chow-delta", "5"], "--chow-delta"),
+            (["chow", "--unit", "0", "--chow-delta", "0"], "--chow-delta"),
+            (["bounds", "--unit", "0", "--chow-delta", "1"], "--chow-delta"),
+            (["chow", "--unit", "0", "--chow-epsilon", "0"], "--chow-epsilon"),
+            (["stabilize", "--chow-epsilon", "inf"], "--chow-epsilon"),
+            (["select", "--algorithm", "gmbc", "--a-bar", "nan"], "--a-bar"),
+            (["select", "--a-bar", "inf"], "--a-bar"),
+            (["select", "--a-bar", "0"], "--a-bar"),
+        ],
+        ids=["noise-nan", "noise-3", "noise-neg", "lr-nan", "lr-neg", "at-epsilon-inf", "at-epsilon-nan",
+             "at-epsilon-neg", "chow-delta-5", "chow-delta-0", "chow-delta-1", "chow-epsilon-0",
+             "chow-epsilon-inf", "a-bar-nan", "a-bar-inf", "a-bar-0"],
+    )
+    def test_out_of_range_float_is_param_error(self, workspace, tmp_path, capsys, argv, flag):
+        _, prefix, model = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = {
+            "gen-data": [], "train": ["--data", prefix], "adv-train": ["--data", prefix],
+            "chow": ["--model", model], "bounds": ["--model", model], "stabilize": ["--model", model],
+            "select": ["--model", model, "--data", prefix, "--beta", 0.0, "--out-model", out / "m"],
+        }[argv[0]]
+        outputs = ["--out-trace", out / "t"] if argv[0] == "select" else ["--out", out / "o"]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *inputs, *outputs)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, dest, valid",
+        [
+            (["gen-data", "--kind", "planted-ltf", "--out", "o", "--noise"], "noise", ["0", "1", "0.25"]),
+            (["train", "--data", "d", "--out", "o", "--lr"], "lr", ["0", "0.5"]),
+            (["adv-train", "--data", "d", "--out", "o", "--at-epsilon"], "at_epsilon", ["0", "20"]),
+            (["chow", "--model", "m", "--unit", "0", "--out", "o", "--chow-delta"], "chow_delta",
+             ["1e-300", "0.5", "0.999"]),
+            (["chow", "--model", "m", "--unit", "0", "--out", "o", "--chow-epsilon"], "chow_epsilon",
+             ["1e-200", "0.05", "7"]),
+            (["select", "--model", "m", "--data", "d", "--beta", "0", "--out-model", "m",
+              "--out-trace", "t", "--a-bar"], "a_bar", ["1e-3", "2"]),
+        ],
+        ids=["noise", "lr", "at-epsilon", "chow-delta", "chow-epsilon", "a-bar"],
+    )
+    def test_in_range_float_parses_as_float(self, argv, dest, valid):
+        # Closed ends are accepted, and the value is the plain float, so the
+        # config header records it as before.
+        for text in valid:
+            value = getattr(build_parser().parse_args([*argv, text]), dest)
+            assert type(value) is float and value == float(text)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "--epsilons", "inf"],

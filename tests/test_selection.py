@@ -224,6 +224,11 @@ def two_unit_ratio_net():
 
 
 class TestGmbc:
+    @pytest.mark.parametrize("a_bar", [0.0, -1.0, math.inf, math.nan])
+    def test_a_bar_must_be_finite_and_positive(self, a_bar):
+        with pytest.raises(ValueError, match="a_bar"):
+            cfg_p1(0.5, a_bar=a_bar)
+
     def test_ratio_orders_cheap_unit_first(self, rng):
         net = two_unit_ratio_net()
         X = rng.choice([-1.0, 1.0], size=(200, 4))
