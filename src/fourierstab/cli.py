@@ -7,11 +7,13 @@ Each argument is one key=value token: a value holding whitespace, a quote or
 a backslash is written shell-quoted, so shlex.split reads it back as one token.
 The one exception is the covariance model of 'gen-data --kind uniformize'
 (*.covmodel.txt), whose first line is its own '# covariance-model v1' tag.
-Machine-readable numbers carry 17 significant digits; human-readable tables
-on stdout use 6.
+Files are written through network's text-format helpers, so machine-readable
+numbers carry 17 significant digits; human-readable tables on stdout use 6.
 
-Exit codes: 0 success, 2 bad parameters, 3 missing file, 4 schema mismatch,
-5 dimension mismatch, 6 enumeration capacity exceeded, 7 degenerate unit.
+Exit codes: 0 success; 2 bad parameters, from argparse when a flag is outside
+its domain; otherwise main maps the exception a command raises through the
+table _EXIT_CODES: 3 missing file, 4 schema mismatch, 5 dimension mismatch,
+6 capacity exceeded, 7 degenerate unit, 2 any other ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import network, selection, uniformize
+from . import selection, uniformize
 from .attack import AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
 from .fourier import ExactChow, MonteCarloChow
@@ -33,12 +35,14 @@ from .network import (
     TrainConfig,
     accuracy,
     first_layer_ltf,
+    fmt_vec,
     load_dataset,
     load_model,
     save_dataset,
     save_model,
     stabilize_subset,
     train_sgd,
+    write_lines,
 )
 from .neuron import PNorm, accuracy_bound_lp, accuracy_bound_p1
 
@@ -50,7 +54,20 @@ EXIT_DIMENSION = 5
 EXIT_CAPACITY = 6
 EXIT_DEGENERATE = 7
 
-_FMT = "%.17g"
+# The exit code of an exception a command raises: the first class that matches,
+# so the ValueError subclasses come before ValueError itself.
+_EXIT_CODES = (
+    (FileNotFoundError, EXIT_MISSING_FILE),
+    (SchemaError, EXIT_SCHEMA),
+    (DimensionError, EXIT_DIMENSION),
+    (CapacityError, EXIT_CAPACITY),
+    (DegenerateFunctionError, EXIT_DEGENERATE),
+    (ValueError, EXIT_PARAMS),
+)
+
+# gen-data refuses to draw more matrix cells than this (examples x n, or
+# teacher_width x n): load_dataset makes a Python float of every cell.
+GEN_DATA_CELL_CAP = 1 << 24
 
 
 # Parsed arguments that are not configuration: the dispatch entries, and the
@@ -69,57 +86,32 @@ def _config_header(args: argparse.Namespace) -> str:
     return "# config: " + " ".join(parts)
 
 
-def _write(path, header: str, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for ln in lines:
-            fh.write(ln + "\n")
-
-
-def _finite_float(text: str) -> float:
-    """argparse type of a number that must be finite."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return v
-
-
-def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
-    """argparse type of a finite number from lo to hi; an open end excludes
-    its bound, and an infinite bound is never reached."""
+def _number(convert=float, lo=-math.inf, hi=math.inf, lo_open=False, hi_open=False):
+    """argparse type of a finite number, read by convert (float or int), from lo
+    to hi; an open end excludes its bound, and an infinite bound is never reached."""
     interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open or math.isinf(hi) else ']'}"
+    rule = f"at least {lo:g}" if math.isinf(hi) and not lo_open else f"in {interval}"
 
-    def number(text: str) -> float:
-        v = _finite_float(text)
+    def number(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not -math.inf < v < math.inf:
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
         if not (lo < v if lo_open else lo <= v) or not (v < hi if hi_open else v <= hi):
-            raise argparse.ArgumentTypeError(f"must be in {interval}: {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text!r}")
         return v
 
     return number
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of an integer that must be at least 1."""
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return v
-
-
-def _nonnegative_int(text: str) -> int:
-    """argparse type of an integer that must be at least 0."""
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
-    return v
-
-
-def _finite_floats(text: str) -> str:
-    """argparse type of a comma-separated list of finite numbers, kept as
-    given so the config header records it unchanged."""
-    if text:
-        for part in text.split(","):
-            _finite_float(part)
+def _numbers(text: str) -> str:
+    """argparse type of a comma-separated list of finite numbers, kept as given
+    so the config header records it unchanged."""
+    number = _number()
+    for part in text.split(",") if text else ():
+        number(part)
     return text
 
 
@@ -135,8 +127,8 @@ def _chow_source(args):
 
 def _add_chow_flags(sp):
     sp.add_argument("--chow-mode", choices=["exact", "mc"], default="exact")
-    sp.add_argument("--chow-epsilon", type=_float_in(0.0, math.inf, lo_open=True), default=0.05)
-    sp.add_argument("--chow-delta", type=_float_in(0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
+    sp.add_argument("--chow-epsilon", type=_number(float, 0.0, lo_open=True), default=0.05)
+    sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
     sp.add_argument("--cap", type=int, default=22)
 
@@ -167,12 +159,12 @@ def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_
 def cmd_gen_data(args) -> int:
     if args.kind == "uniformize":
         return _gen_data_uniformize(args)
-    for flag, m in (("--train", args.train), ("--val", args.val), ("--test", args.test)):
-        if m < 1:
-            raise ValueError(f"{flag} must be at least 1, got {m}")
-    rng = np.random.default_rng(args.seed)
     sizes = {"train": args.train, "validation": args.val, "test": args.test}
     total = sum(sizes.values())
+    cells = max(total, args.teacher_width) * args.n
+    if cells > GEN_DATA_CELL_CAP:
+        raise CapacityError(f"gen-data would draw {cells} cells, over the cap of {GEN_DATA_CELL_CAP}")
+    rng = np.random.default_rng(args.seed)
     X = (1.0 - 2.0 * rng.integers(0, 2, size=(total, args.n))).astype(np.float64)
     y = _teacher_labels(args.kind, X, rng, args.teacher_width)
     if args.noise > 0.0:
@@ -245,13 +237,10 @@ def cmd_chow(args) -> int:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
     est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
-    lines = [
-        "coefficient,value",
-        "empty," + _FMT % est.h_empty,
-    ]
-    lines += [f"{i},{_FMT % v}" for i, v in enumerate(est.h_vec)]
+    lines = ["coefficient,value", "empty," + fmt_vec(est.h_empty)]
+    lines += [f"{i},{fmt_vec(v)}" for i, v in enumerate(est.h_vec)]
     lines.append(f"# mode={est.mode} samples={est.samples} epsilon={est.epsilon} delta={est.delta}")
-    _write(args.out, _config_header(args), lines)
+    write_lines(args.out, lines, _config_header(args))
     print(f"unit {args.unit}: h_empty={est.h_empty:.6f}, ||h||_1={np.abs(est.h_vec).sum():.6f}")
     return EXIT_OK
 
@@ -283,7 +272,7 @@ def cmd_select(args) -> int:
     model, trace = algo(net, val, cfg)
     header = _config_header(args)
     save_model(model, args.out_model, header)
-    _write(args.out_trace, header, selection.trace_to_csv(trace).rstrip("\n").split("\n"))
+    write_lines(args.out_trace, selection.trace_to_csv(trace), header)
     for w in trace.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
@@ -304,9 +293,9 @@ def cmd_attack(args) -> int:
         flips = path[path >= 0]
         lines.append(
             f"{i},{int(data.y[i])},{int(preds[i])},{int(success)},"
-            f"{_FMT % (2.0 * len(flips))},{';'.join(str(f) for f in flips)}"
+            f"{fmt_vec(2.0 * len(flips))},{';'.join(str(f) for f in flips)}"
         )
-    _write(args.out, _config_header(args), lines)
+    write_lines(args.out, lines, _config_header(args))
     n_success = int(np.count_nonzero(changed))
     print(f"attacked {data.m} examples at epsilon={args.epsilon:g}: {n_success} successes")
     return EXIT_OK
@@ -317,10 +306,8 @@ def cmd_eval(args) -> int:
     data = _load_split(args.data, args.split)
     epsilons = [float(e) for e in args.epsilons.split(",")]
     rows = attack_curve(net, data, epsilons)
-    lines = ["epsilon,clean_accuracy,robust_accuracy,mean_l1_cost_success"]
-    for eps, clean, robust, cost in rows:
-        lines.append(f"{_FMT % eps},{_FMT % clean},{_FMT % robust},{_FMT % cost}")
-    _write(args.out, _config_header(args), lines)
+    lines = ["epsilon,clean_accuracy,robust_accuracy,mean_l1_cost_success", *map(fmt_vec, rows)]
+    write_lines(args.out, lines, _config_header(args))
     for eps, clean, robust, cost in rows:
         print(f"epsilon={eps:g} clean={clean:.6f} robust={robust:.6f} mean_cost={cost:.6f}")
     return EXIT_OK
@@ -345,9 +332,9 @@ def cmd_bounds(args) -> int:
         values = (rep.gamma, rep.bound, rep.bound_clamped, rep.epsilon_be, rep.sigma, rep.e_mu, rep.alpha)
         if not all(v is None or math.isfinite(v) for v in values):
             raise ValueError(f"mu={mu:g} gives a non-finite bound report")
-        lines.append(",".join([_FMT % mu] + ["nan" if v is None else _FMT % v for v in values]))
+        lines.append(fmt_vec([mu] + [math.nan if v is None else v for v in values]))
         reps.append(rep)
-    _write(args.out, _config_header(args), lines)
+    write_lines(args.out, lines, _config_header(args))
     for rep in reps:
         print(f"mu={rep.mu:.6g} gamma={rep.gamma:.6g} bound={rep.bound:.6g}")
     return EXIT_OK
@@ -365,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate synthetic +-1 datasets")
     sp.add_argument("--kind", choices=["planted-ltf", "planted-mlp", "noisy-majority", "uniformize"], required=True)
-    sp.add_argument("--n", type=_positive_int, default=20)
-    sp.add_argument("--train", type=int, default=1000)
-    sp.add_argument("--val", type=int, default=500)
-    sp.add_argument("--test", type=int, default=500)
-    sp.add_argument("--noise", type=_float_in(0.0, 1.0), default=0.0)
-    sp.add_argument("--teacher-width", type=_positive_int, default=8)
+    sp.add_argument("--n", type=_number(int, 1), default=20)
+    sp.add_argument("--train", type=_number(int, 1), default=1000)
+    sp.add_argument("--val", type=_number(int, 1), default=500)
+    sp.add_argument("--test", type=_number(int, 1), default=500)
+    sp.add_argument("--noise", type=_number(float, 0.0, 1.0), default=0.0)
+    sp.add_argument("--teacher-width", type=_number(int, 1), default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--input", help="real-valued CSV matrix (uniformize only)")
     sp.add_argument("--labels", help="optional +-1 label file, one per row (uniformize only)")
@@ -380,16 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("train", cmd_train), ("adv-train", cmd_adv_train)):
         sp = sub.add_parser(name)
         sp.add_argument("--data", required=True, help="dataset path prefix")
-        sp.add_argument("--width", type=_positive_int, default=32)
+        sp.add_argument("--width", type=_number(int, 1), default=32)
         sp.add_argument("--activation", choices=[a.value for a in Activation], default="logistic")
-        sp.add_argument("--epochs", type=_nonnegative_int, default=20)
-        sp.add_argument("--lr", type=_float_in(0.0, math.inf), default=0.5)
-        sp.add_argument("--batch-size", type=_positive_int, default=64)
+        sp.add_argument("--epochs", type=_number(int, 0), default=20)
+        sp.add_argument("--lr", type=_number(float, 0.0), default=0.5)
+        sp.add_argument("--batch-size", type=_number(int, 1), default=64)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         if name == "adv-train":
-            sp.add_argument("--at-epochs", type=_nonnegative_int, default=2)
-            sp.add_argument("--at-epsilon", type=_float_in(0.0, math.inf), default=20.0)
+            sp.add_argument("--at-epochs", type=_number(int, 0), default=2)
+            sp.add_argument("--at-epsilon", type=_number(float, 0.0), default=20.0)
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("chow", help="degree-<=1 coefficients of a first-layer unit")
@@ -413,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset path prefix (validation split used)")
     sp.add_argument("--algorithm", choices=["gmb", "gmbc", "gmb-fast"], default="gmb")
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--a-bar", type=_float_in(0.0, math.inf, lo_open=True), default=None)
+    sp.add_argument("--a-bar", type=_number(float, 0.0, lo_open=True), default=None)
     sp.add_argument("--p", default="1")
     sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
     _add_chow_flags(sp)
@@ -425,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilon", type=_finite_float, required=True)
+    sp.add_argument("--epsilon", type=_number(float), required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_attack)
 
@@ -433,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilons", type=_finite_floats, required=True, help="comma-separated l1 budgets")
+    sp.add_argument("--epsilons", type=_numbers, required=True, help="comma-separated l1 budgets")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_eval)
 
@@ -441,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--unit", type=int, required=True)
     sp.add_argument("--p", default="1")
-    sp.add_argument("--mus", type=_finite_floats, default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
+    sp.add_argument("--mus", type=_numbers, default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_bounds)
@@ -450,28 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except DegenerateFunctionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        missing = "missing file: " if code == EXIT_MISSING_FILE else ""
+        print(f"error: {missing}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -275,36 +275,36 @@ def accuracy(net: BinaryMlp, data: LabeledDataset) -> float:
     return float(np.mean(net.predict(data.X) == data.y))
 
 
-# --- serialization -----------------------------------------------------------
+# --- text format -------------------------------------------------------------
+# Every file the package writes: an optional first line (the CLI's '# config:'),
+# then the body. A document is a '# <tag>' line and key=value lines; vectors are
+# comma-separated, and 17 significant digits read every float64 back exactly.
 
 _FMT = "%.17g"
 
 
-def _fmt_vec(v: np.ndarray) -> str:
-    return ",".join(_FMT % x for x in np.asarray(v, dtype=np.float64))
+def fmt_vec(v) -> str:
+    """A number, or the numbers of a vector joined by commas, at 17 significant digits."""
+    return ",".join(_FMT % x for x in np.asarray(v, dtype=np.float64).ravel())
 
 
-def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
-    """Self-describing text document; numbers carry 17 significant digits.
+def floats(text: str) -> np.ndarray:
+    """The numbers of a comma-separated vector field; a bad cell raises ValueError."""
+    return np.array([float(x) for x in text.split(",")])
 
-    header, when given, is written as the first line (the CLI's '# config:').
-    """
-    lines = [header] if header is not None else []
-    lines += [
-        "# binary-mlp v1",
-        f"n={net.n}",
-        f"t={net.t}",
-        f"activation={net.act.value}",
-        f"seed_lineage={net.seed_lineage}",
-        "b2=" + (_FMT % net.b2),
-        "W2=" + _fmt_vec(net.W2),
-        "b1=" + _fmt_vec(net.b1),
-        "stabilized_mask=" + ",".join("1" if b else "0" for b in net.stabilized_mask),
-    ]
-    for j in range(net.t):
-        lines.append(f"W1.{j}=" + _fmt_vec(net.W1[j]))
+
+def write_lines(path, lines: Iterable[str], header: Optional[str] = None) -> None:
+    """Write each line followed by a newline, after header when given; every
+    file the package writes is written here."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(ln + "\n" for ln in lines)
+
+
+def write_document(path, tag: str, fields: dict, header: Optional[str] = None) -> None:
+    """A '# <tag>' line, then one key=value line per field in order."""
+    write_lines(path, [f"# {tag}", *(f"{k}={v}" for k, v in fields.items())], header)
 
 
 def read_lines(path):
@@ -318,20 +318,31 @@ def read_lines(path):
         raise SchemaError(f"{path}: not a text file ({exc})") from exc
 
 
-def load_model(path) -> BinaryMlp:
+def read_document(path, tag: str) -> dict:
+    """The fields of a document written by write_document with this tag."""
     lines = list(read_lines(path))
-    if not lines or lines[0] != "# binary-mlp v1":
-        raise SchemaError(f"{path}: missing binary-mlp header")
-    kv = dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
+    if not lines or lines[0] != f"# {tag}":
+        raise SchemaError(f"{path}: missing '# {tag}' header")
+    return dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
+
+
+def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
+    """The 'binary-mlp v1' document of net; header, when given, is the first line."""
+    fields = {"n": net.n, "t": net.t, "activation": net.act.value, "seed_lineage": net.seed_lineage}
+    fields.update((k, fmt_vec(getattr(net, k))) for k in ("b2", "W2", "b1"))
+    fields["stabilized_mask"] = ",".join("1" if b else "0" for b in net.stabilized_mask)
+    fields.update((f"W1.{j}", fmt_vec(row)) for j, row in enumerate(net.W1))
+    write_document(path, "binary-mlp v1", fields, header)
+
+
+def load_model(path) -> BinaryMlp:
+    kv = read_document(path, "binary-mlp v1")
     try:
-        n = int(kv["n"])
-        t = int(kv["t"])
+        n, t = int(kv["n"]), int(kv["t"])
         act = Activation(kv["activation"])
-        b2 = float(kv["b2"])
-        W2 = np.array([float(x) for x in kv["W2"].split(",")])
-        b1 = np.array([float(x) for x in kv["b1"].split(",")])
+        b2, W2, b1 = float(kv["b2"]), floats(kv["W2"]), floats(kv["b1"])
         mask = np.array([{"0": False, "1": True}[c] for c in kv["stabilized_mask"].split(",")])
-        W1 = np.array([[float(x) for x in kv[f"W1.{j}"].split(",")] for j in range(t)])
+        W1 = np.array([floats(kv[f"W1.{j}"]) for j in range(t)])
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
     if W1.shape != (t, n):
@@ -343,18 +354,9 @@ def load_model(path) -> BinaryMlp:
 
 
 def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None:
-    """CSV: header 'n=<n>', then n +-1 feature columns and one label column.
-
-    header, when given, is written as the first line (the CLI's '# config:').
-    """
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        fh.write(f"n={ds.n}\n")
-        for row, label in zip(ds.X, ds.y):
-            cells = ["+1" if v > 0 else "-1" for v in row]
-            cells.append("+1" if label > 0 else "-1")
-            fh.write(",".join(cells) + "\n")
+    """CSV after an optional header line: 'n=<n>', then n +-1 feature columns and one label column."""
+    rows = (",".join(["+1" if v > 0 else "-1" for v in x.tolist() + [label]]) for x, label in zip(ds.X, ds.y))
+    write_lines(path, itertools.chain([f"n={ds.n}"], rows), header)
 
 
 def load_dataset(path, split: str = "train") -> LabeledDataset:

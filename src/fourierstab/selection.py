@@ -25,6 +25,7 @@ from .network import (
     LabeledDataset,
     accuracy,
     first_layer_ltf,
+    fmt_vec,
     stabilize_subset,
 )
 from .neuron import PNorm, norm
@@ -237,21 +238,20 @@ def gmbc(
     return current, trace
 
 
-def trace_to_csv(trace: SelectionTrace) -> str:
-    """One record per accepted step, one '# warning: ' line per warning, and a
-    summary line of space-separated key=value tokens."""
+def trace_to_csv(trace: SelectionTrace) -> list[str]:
+    """The lines of the trace CSV: one record per accepted step, one
+    '# warning: ' line per warning, and a summary line of space-separated
+    key=value tokens."""
     lines = ["index,delta_r,delta_a_raw,delta_a_clamped,accuracy_after,cumulative_proxy"]
     cum = 0.0
     for step in trace.steps:
         cum += step.delta_r
-        lines.append(
-            f"{step.index},{step.delta_r:.17g},{step.delta_a_raw:.17g},"
-            f"{step.delta_a_clamped:.17g},{step.accuracy_after:.17g},{cum:.17g}"
-        )
+        values = (step.delta_r, step.delta_a_raw, step.delta_a_clamped, step.accuracy_after, cum)
+        lines.append(f"{step.index},{fmt_vec(values)}")
     lines += [f"# warning: {w}" for w in trace.warnings]
     lines.append(
-        f"# summary accepted={len(trace.accepted)} proxy_total={trace.proxy_total:.17g} "
+        f"# summary accepted={len(trace.accepted)} proxy_total={fmt_vec(trace.proxy_total)} "
         f"accuracy_evaluations={trace.accuracy_evaluations} "
         f"verification_evaluations={trace.verification_evaluations} warnings={len(trace.warnings)}"
     )
-    return "\n".join(lines) + "\n"
+    return lines

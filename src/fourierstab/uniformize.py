@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SchemaError
-from .network import read_lines
+from .network import floats, fmt_vec, read_document, write_document
 
 
 def jacobi_eigh(C: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -131,31 +131,17 @@ def chi_square_uniformity(bits: np.ndarray) -> tuple[float, int]:
     return stat, (1 << d) - 1
 
 
-_FMT = "%.17g"
-
-
 def save_covariance_model(model: CovarianceModel, path) -> None:
-    lines = ["# covariance-model v1", f"d={model.d}"]
-    lines.append("mean=" + ",".join(_FMT % v for v in model.mean))
-    lines.append("D=" + ",".join(_FMT % v for v in model.D))
-    lines.append("thresholds=" + ",".join(_FMT % v for v in model.thresholds))
-    for j in range(model.d):
-        lines.append(f"U.{j}=" + ",".join(_FMT % v for v in model.U[j]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fields = {"d": model.d, **{k: fmt_vec(getattr(model, k)) for k in ("mean", "D", "thresholds")}}
+    fields.update((f"U.{j}", fmt_vec(row)) for j, row in enumerate(model.U))
+    write_document(path, "covariance-model v1", fields)
 
 
 def load_covariance_model(path) -> CovarianceModel:
-    lines = list(read_lines(path))
-    if not lines or lines[0] != "# covariance-model v1":
-        raise SchemaError(f"{path}: missing covariance-model header")
-    kv = dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
+    kv = read_document(path, "covariance-model v1")
     try:
-        d = int(kv["d"])
-        mean = np.array([float(v) for v in kv["mean"].split(",")])
-        D = np.array([float(v) for v in kv["D"].split(",")])
-        thresholds = np.array([float(v) for v in kv["thresholds"].split(",")])
-        U = np.array([[float(v) for v in kv[f"U.{j}"].split(",")] for j in range(d)])
+        mean, D, thresholds = (floats(kv[k]) for k in ("mean", "D", "thresholds"))
+        U = np.array([floats(kv[f"U.{j}"]) for j in range(int(kv["d"]))])
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed covariance model ({exc})") from exc
     if not all(np.isfinite(a).all() for a in (mean, D, thresholds, U)):

@@ -1,10 +1,15 @@
+import argparse
+import math
 import re
 import shlex
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fourierstab import cli
 from fourierstab.cli import (
     EXIT_CAPACITY,
     EXIT_DEGENERATE,
@@ -71,13 +76,29 @@ class TestGenData:
             b = (tmp_path / f"b.{split}.csv").read_bytes()
             assert a == b
 
-    @pytest.mark.parametrize("flag, size", [("--train", 0), ("--val", 0), ("--test", 0), ("--train", -5)])
-    def test_bad_split_size_writes_nothing(self, tmp_path, capsys, flag, size):
-        sizes = {"--train": 30, "--val": 20, "--test": 20, flag: size}
-        argv = ["gen-data", "--kind", "planted-ltf", "--n", 4, "--out", tmp_path / "d"]
-        assert run(*argv, *[str(a) for kv in sizes.items() for a in kv]) == EXIT_PARAMS
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", 100000, "--train", 100000],
+            ["--kind", "planted-mlp", "--n", 5000, "--teacher-width", 5000],
+        ],
+        ids=["examples", "teacher-width"],
+    )
+    def test_oversized_request_is_capacity_error(self, tmp_path, capsys, argv):
+        # Refused before anything is drawn; uncapped, the first would allocate 75 GiB.
+        assert run("gen-data", "--kind", "planted-ltf", *argv, "--out", tmp_path / "d") == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "cap" in err and "Traceback" not in err and len(err) < 100
         assert list(tmp_path.iterdir()) == []
+
+    def test_cell_cap_boundary(self, tmp_path, monkeypatch):
+        # At n=10 and a cap of 100 cells, 10 examples and a teacher of width 10 fit; 11 do not.
+        monkeypatch.setattr(cli, "GEN_DATA_CELL_CAP", 100)
+        argv = ["gen-data", "--kind", "planted-mlp", "--n", 10, "--val", 1, "--test", 1]
+        assert run(*argv, "--train", 9, "--out", tmp_path / "over") == EXIT_CAPACITY
+        assert run(*argv, "--train", 2, "--teacher-width", 11, "--out", tmp_path / "wide") == EXIT_CAPACITY
+        assert run(*argv, "--train", 8, "--teacher-width", 10, "--out", tmp_path / "at") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"at.{s}.csv" for s in ("test", "train", "validation")]
 
     def test_config_header_present(self, tmp_path):
         prefix = tmp_path / "d"
@@ -132,6 +153,22 @@ class TestTrainChowStabilize:
         assert float(rows[1].split(",")[1]) == est.h_empty
         for i, ln in enumerate(rows[2:]):
             assert float(ln.split(",")[1]) == est.h_vec[i]
+
+    def test_chow_golden_bytes(self, tmp_path):
+        model, out = tmp_path / "model.txt", tmp_path / "chow.csv"
+        save_model(BinaryMlp(np.array([[1.0, -0.75, 0.5]]), np.array([0.25]), Activation.SIGN,
+                             np.ones(1), 0.0, fresh_mask(1)), model)
+        assert run("chow", "--model", model, "--unit", 0, "--out", out) == EXIT_OK
+        assert out.read_text() == (
+            "# config: cmd=chow cap=22 chow_delta=0.01 chow_epsilon=0.05 chow_mode=exact "
+            f"chow_seed=0 model={model} unit=0\n"
+            "coefficient,value\n"
+            "empty,0.25\n"
+            "0,0.75\n"
+            "1,-0.25\n"
+            "2,0.25\n"
+            "# mode=exact samples=0 epsilon=0.0 delta=0.0\n"
+        )
 
     def test_chow_mc_uses_the_unit_seed_stream(self, workspace, tmp_path):
         _, _, model = workspace
@@ -330,8 +367,13 @@ class TestExitCodes:
             (["train", "--batch-size", "0"], "--batch-size"),
             (["adv-train", "--width", "-3"], "--width"),
             (["adv-train", "--at-epochs", "-1"], "--at-epochs"),
+            (["gen-data", "--kind", "planted-ltf", "--train", "0"], "--train"),
+            (["gen-data", "--kind", "planted-ltf", "--val", "0"], "--val"),
+            (["gen-data", "--kind", "planted-ltf", "--test", "0"], "--test"),
+            (["gen-data", "--kind", "planted-ltf", "--train=-5"], "--train"),
         ],
-        ids=["n", "teacher-width", "width", "epochs", "batch-size", "adv-width", "at-epochs"],
+        ids=["n", "teacher-width", "width", "epochs", "batch-size", "adv-width", "at-epochs", "train-0",
+             "val-0", "test-0", "train-neg"],
     )
     def test_out_of_range_integer_is_param_error(self, workspace, tmp_path, capsys, argv, flag):
         _, prefix, _ = workspace
@@ -431,6 +473,27 @@ class TestExitCodes:
         assert "not a finite number" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["attack", "--epsilon", "abc"], "--epsilon"),
+            (["eval", "--epsilons", "0,abc"], "--epsilons"),
+            (["train", "--width", "1.5"], "--width"),
+        ],
+        ids=["attack-epsilon", "eval-epsilons", "train-width"],
+    )
+    def test_unparsable_number_is_param_error(self, workspace, tmp_path, capsys, argv, flag):
+        _, prefix, model = workspace
+        out = tmp_path / "o.csv"
+        model_flag = [] if argv[0] == "train" else ["--model", model]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *model_flag, "--data", prefix, "--out", out)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not a number: " in err and "Traceback" not in err
+        assert re.search(r"\b_\w", err) is None  # no Python name such as _number
+        assert not out.exists()
+
     def test_degenerate_error(self, tmp_path):
         # A constant unit has a zero coefficient vector; the p=2 bound report
         # cannot normalize it.
@@ -442,6 +505,38 @@ class TestExitCodes:
         save_model(net, model)
         assert run("bounds", "--model", model, "--unit", 0, "--p", "2",
                    "--mus", "0", "--out", tmp_path / "o.csv") == EXIT_DEGENERATE
+
+
+# Ordered bounds and texts mostly near each other, so that many draws are accepted.
+_BOUND = st.one_of(st.sampled_from([-math.inf, 0.0, 1.0, math.inf]), st.floats(-100, 100), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    convert=st.sampled_from([int, float]),
+    bounds=st.lists(_BOUND, min_size=2, max_size=2).map(sorted),
+    lo_open=st.booleans(),
+    hi_open=st.booleans(),
+    text=st.one_of(
+        st.integers(-200, 200).map(str),
+        st.floats(-200, 200).map(repr),
+        st.one_of(
+            st.floats().map(repr),
+            st.integers().map(str),
+            st.text(),
+            st.sampled_from(["", "nan", "-inf", "1e999", "1_0", " 7 ", "0x10", "9" * 5000]),
+        ),
+    ),
+)
+def test_number_type_returns_a_value_in_its_domain_or_rejects(convert, bounds, lo_open, hi_open, text):
+    lo, hi = bounds
+    number = cli._number(convert, lo, hi, lo_open=lo_open, hi_open=hi_open)
+    try:
+        v = number(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert type(v) is convert and -math.inf < v < math.inf
+    assert (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
 
 
 # Parsed arguments that stay out of the header: dispatch entries and output paths.

@@ -361,6 +361,40 @@ class TestSerialization:
         assert all(c in ("+1", "-1") for c in lines[1].split(","))
         assert len(lines[1].split(",")) == 4
 
+    @pytest.mark.parametrize("header", [None, "# config: cmd=golden seed=0"])
+    def test_model_golden_bytes(self, tmp_path, header):
+        net = BinaryMlp(
+            W1=np.array([[0.5, -1.25, 1.0 / 3.0], [2.0, 0.0, -0.1]]),
+            b1=np.array([0.25, -1.0]),
+            act=Activation.TANH,
+            W2=np.array([1.5, -0.75]),
+            b2=0.125,
+            stabilized_mask=np.array([True, False]),
+            seed_lineage="train:seed=3",
+        )
+        path = tmp_path / "model.txt"
+        save_model(net, path, header)
+        body = (
+            "# binary-mlp v1\n"
+            "n=3\n"
+            "t=2\n"
+            "activation=tanh\n"
+            "seed_lineage=train:seed=3\n"
+            "b2=0.125\n"
+            "W2=1.5,-0.75\n"
+            "b1=0.25,-1\n"
+            "stabilized_mask=1,0\n"
+            "W1.0=0.5,-1.25,0.33333333333333331\n"
+            "W1.1=2,0,-0.10000000000000001\n"
+        )
+        assert path.read_bytes() == (body if header is None else f"{header}\n{body}").encode()
+
+    def test_dataset_golden_bytes(self, tmp_path):
+        data = LabeledDataset(np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]), np.array([1.0, -1.0]))
+        path = tmp_path / "data.csv"
+        save_dataset(data, path, "# config: cmd=golden")
+        assert path.read_bytes() == b"# config: cmd=golden\nn=3\n+1,-1,+1,+1\n-1,-1,+1,-1\n"
+
     def test_dataset_schema_errors(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("m=3\n+1,+1,-1\n")

@@ -320,7 +320,7 @@ class TestTraceCsv:
         ]
         assert any(trace.warnings for _, trace in runs)
         for _, trace in runs:
-            lines = trace_to_csv(trace).strip().split("\n")
+            lines = trace_to_csv(trace)
             assert lines[0].startswith("index,delta_r,")
             assert len(lines) == len(trace.steps) + len(trace.warnings) + 2
             warned = lines[1 + len(trace.steps) : -1]
@@ -337,8 +337,7 @@ class TestTraceCsv:
         net, _ = trained_net(rng)
         val = teacher_dataset(net, rng)
         _, trace = gmb(net, val, cfg_p1(0.8))
-        text = trace_to_csv(trace)
-        rows = [ln.split(",") for ln in text.strip().split("\n")[1:-1]]
+        rows = [ln.split(",") for ln in trace_to_csv(trace)[1:-1]]
         cum = 0.0
         for row in rows:
             cum += float(row[1])

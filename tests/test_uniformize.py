@@ -179,6 +179,26 @@ class TestSerialization:
         np.testing.assert_array_equal(back.thresholds, model.thresholds)
         back.validate()
 
+    def test_golden_bytes(self, tmp_path):
+        model = CovarianceModel(
+            mean=np.array([0.1, -1.0 / 3.0]),
+            C=np.eye(2),
+            U=np.array([[0.6, -0.8], [0.8, 0.6]]),
+            D=np.array([2.5, 0.5]),
+            thresholds=np.array([0.0, -0.2]),
+        )
+        path = tmp_path / "cov.txt"
+        save_covariance_model(model, path)
+        assert path.read_bytes() == (
+            b"# covariance-model v1\n"
+            b"d=2\n"
+            b"mean=0.10000000000000001,-0.33333333333333331\n"
+            b"D=2.5,0.5\n"
+            b"thresholds=0,-0.20000000000000001\n"
+            b"U.0=0.59999999999999998,-0.80000000000000004\n"
+            b"U.1=0.80000000000000004,0.59999999999999998\n"
+        )
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")
