@@ -8,8 +8,8 @@ x_i adds -2*x_i*W1[:, i] to every unit's pre-activation, so a variant's
 pre-activations are the row's own plus one column of W1, not a matmul of the
 flipped row; they can differ from that matmul in the last bits. Whether a
 flip changes the prediction is still decided by a forward pass of the
-flipped row. A bit flip costs 2 in l1, so a budget epsilon allows
-floor(epsilon/2) flips.
+flipped row. A bit flip costs FLIP_L1_COST = 2 in l1, so a budget epsilon
+allows floor(epsilon/2) flips.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError
-from .network import BinaryMlp, LabeledDataset, TrainConfig, train_sgd
+from .network import BinaryMlp, LabeledDataset, TrainConfig, check_pm1, train_sgd
+
+# The l1 distance between two +-1 vectors that differ in one coordinate.
+FLIP_L1_COST = 2.0
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,7 @@ class AttackBudget:
 
     @property
     def max_flips(self) -> int:
-        return int(math.floor(self.epsilon_l1 / 2.0))
+        return int(math.floor(self.epsilon_l1 / FLIP_L1_COST))
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,12 @@ def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -y[:, None] * variant) - np.logaddexp(0.0, -y * base)[:, None]
 
 
-def _check_pm1(X: np.ndarray) -> None:
-    if not np.all(np.abs(X) == 1.0):
-        raise ValueError("features must be exactly +-1")
-
-
 def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
     """Loss increase from flipping each single coordinate of x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.n,):
         raise DimensionError(f"x has shape {x.shape}, expected ({net.n},)")
-    _check_pm1(x)
+    check_pm1(x, "features")
     return _impacts(net, x[None, :], np.array([y], dtype=np.float64))[0]
 
 
@@ -101,7 +99,7 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n:
         raise DimensionError(f"X has shape {X.shape}, expected (m, {net.n})")
-    _check_pm1(X)
+    check_pm1(X, "features")
     m, n = X.shape
     rounds = max(0, min(k, n))
     order = np.full((m, rounds), -1, dtype=np.intp)
@@ -138,7 +136,7 @@ def jsma(net: BinaryMlp, x, y: float, budget: AttackBudget) -> AttackOutcome:
     z = x.copy()
     z[flips] = -z[flips]
     label = float(net.predict(z[None, :])[0])
-    return AttackOutcome(bool(changed[0]), tuple(int(i) for i in flips), 2.0 * len(flips), label)
+    return AttackOutcome(bool(changed[0]), tuple(int(i) for i in flips), FLIP_L1_COST * len(flips), label)
 
 
 def jsma_maxloss_batch(net: BinaryMlp, X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -173,7 +171,7 @@ def attack_curve(net: BinaryMlp, data: LabeledDataset, epsilons) -> list[tuple[f
     for b in budgets:
         broken = (changed > 0) & (changed <= b.max_flips)
         robust = (int(np.sum(correct)) - int(np.sum(broken))) / data.m
-        mean_cost = float(np.mean(2.0 * changed[broken])) if broken.any() else float("nan")
+        mean_cost = float(np.mean(FLIP_L1_COST * changed[broken])) if broken.any() else float("nan")
         out.append((b.epsilon_l1, clean, robust, mean_cost))
     return out
 

@@ -11,8 +11,8 @@ Files are written through network's text-format helpers, so machine-readable
 numbers carry 17 significant digits; human-readable tables on stdout use 6.
 
 Exit codes: 0 success; 2 bad parameters, from argparse when a flag is outside
-its domain; otherwise main maps the exception a command raises through the
-table _EXIT_CODES: 3 missing file, 4 schema mismatch, 5 dimension mismatch,
+its domain or an output's directory is missing, before any work; otherwise
+main maps the exception a command raises through the table _EXIT_CODES: 3 missing file, 4 schema mismatch, 5 dimension mismatch,
 6 capacity exceeded, 7 degenerate unit, 2 any other ValueError.
 """
 
@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import shlex
 import sys
 
 import numpy as np
 
 from . import selection, uniformize
-from .attack import AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
+from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ExactChow, MonteCarloChow
+from .fourier import DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
 from .network import (
     Activation,
     LabeledDataset,
@@ -42,6 +43,7 @@ from .network import (
     save_model,
     stabilize_subset,
     train_sgd,
+    unit_chow,
     write_lines,
 )
 from .neuron import PNorm, accuracy_bound_lp, accuracy_bound_p1
@@ -70,9 +72,11 @@ _EXIT_CODES = (
 GEN_DATA_CELL_CAP = 1 << 24
 
 
-# Parsed arguments that are not configuration: the dispatch entries, and the
-# output paths, so the same flags with another output path give the same bytes.
-_NOT_CONFIG = frozenset({"command", "fn", "out", "out_model", "out_trace"})
+# The output paths (gen-data's --out is a path prefix), whose directories main
+# checks before any work. With the dispatch entries they are not configuration,
+# so the same flags with another output path give the same bytes.
+_OUTPUTS = ("out", "out_model", "out_trace")
+_NOT_CONFIG = frozenset(("command", "fn", *_OUTPUTS))
 
 
 def _config_value(v) -> str:
@@ -115,8 +119,13 @@ def _numbers(text: str) -> str:
     return text
 
 
-def _parse_p(text: str) -> PNorm:
-    return PNorm(math.inf if text in ("inf", "infinity") else float(text))
+def _p_norm(text: str) -> str:
+    """argparse type of a norm p in [1, inf], kept as given for the config header."""
+    try:
+        PNorm(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number in [1, inf]: {text!r}") from None
+    return text
 
 
 def _chow_source(args):
@@ -130,7 +139,7 @@ def _add_chow_flags(sp):
     sp.add_argument("--chow-epsilon", type=_number(float, 0.0, lo_open=True), default=0.05)
     sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=22)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
 
 def _load_split(prefix: str, split: str) -> LabeledDataset:
@@ -235,8 +244,7 @@ def cmd_adv_train(args) -> int:
 
 def cmd_chow(args) -> int:
     net = load_model(args.model)
-    ltf = first_layer_ltf(net, args.unit)
-    est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
+    est = unit_chow(net, args.unit, _chow_source(args))
     lines = ["coefficient,value", "empty," + fmt_vec(est.h_empty)]
     lines += [f"{i},{fmt_vec(v)}" for i, v in enumerate(est.h_vec)]
     lines.append(f"# mode={est.mode} samples={est.samples} epsilon={est.epsilon} delta={est.delta}")
@@ -248,8 +256,7 @@ def cmd_chow(args) -> int:
 def cmd_stabilize(args) -> int:
     net = load_model(args.model)
     units = range(net.t) if args.units == "all" else [int(u) for u in args.units.split(",")]
-    p = _parse_p(args.p)
-    out = stabilize_subset(net, units, p, _chow_source(args), rescale=args.rescale)
+    out = stabilize_subset(net, units, PNorm(float(args.p)), _chow_source(args), rescale=args.rescale)
     save_model(out, args.out, _config_header(args))
     changed = int(np.sum(out.stabilized_mask & ~net.stabilized_mask))
     print(f"stabilized {changed} unit(s) at p={args.p}; model -> {args.out}")
@@ -261,7 +268,7 @@ def cmd_select(args) -> int:
     val = _load_split(args.data, "validation")
     cfg = selection.SelectionConfig(
         beta=args.beta,
-        p=_parse_p(args.p),
+        p=PNorm(float(args.p)),
         chow_source=_chow_source(args),
         a_bar=args.a_bar,
         rescale=args.rescale,
@@ -293,7 +300,7 @@ def cmd_attack(args) -> int:
         flips = path[path >= 0]
         lines.append(
             f"{i},{int(data.y[i])},{int(preds[i])},{int(success)},"
-            f"{fmt_vec(2.0 * len(flips))},{';'.join(str(f) for f in flips)}"
+            f"{fmt_vec(FLIP_L1_COST * len(flips))},{';'.join(str(f) for f in flips)}"
         )
     write_lines(args.out, lines, _config_header(args))
     n_success = int(np.count_nonzero(changed))
@@ -316,8 +323,8 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
-    p = _parse_p(args.p)
-    est = _chow_source(args).estimate(ltf.handle(), net.n, key=args.unit)
+    p = PNorm(float(args.p))
+    est = unit_chow(net, args.unit, _chow_source(args))
     if args.mus:
         mus = [float(m) for m in args.mus.split(",")]
     else:
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stabilize", help="replace unit weights by stabilized analogs")
     sp.add_argument("--model", required=True)
     sp.add_argument("--units", default="all", help="'all' or comma-separated indices")
-    sp.add_argument("--p", default="1")
+    sp.add_argument("--p", type=_p_norm, default="1")
     sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithm", choices=["gmb", "gmbc", "gmb-fast"], default="gmb")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--a-bar", type=_number(float, 0.0, lo_open=True), default=None)
-    sp.add_argument("--p", default="1")
+    sp.add_argument("--p", type=_p_norm, default="1")
     sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
     _add_chow_flags(sp)
     sp.add_argument("--out-model", required=True)
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="accuracy-loss bound report over a mu grid")
     sp.add_argument("--model", required=True)
     sp.add_argument("--unit", type=int, required=True)
-    sp.add_argument("--p", default="1")
+    sp.add_argument("--p", type=_p_norm, default="1")
     sp.add_argument("--mus", type=_numbers, default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
@@ -437,7 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest in (d for d in _OUTPUTS if d in vars(args)):
+        directory = os.path.dirname(getattr(args, dest)) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            parser.error(f"argument --{dest.replace('_', '-')}: no writable directory {directory!r}")
     try:
         return args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

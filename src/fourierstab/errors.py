@@ -10,7 +10,7 @@ class CapacityError(ValueError):
 
 
 class DegenerateFunctionError(ValueError):
-    """All degree-1 coefficients vanish (the function is constant)."""
+    """A unit's function is constant: its weight vector or all its degree-1 coefficients vanish."""
 
 
 class SchemaError(ValueError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ExactChow, MonteCarloChow
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow
 from .neuron import LinearThresholdNeuron, PNorm, norm, sign_pm1, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
@@ -128,6 +129,12 @@ def forward(net: BinaryMlp, x) -> tuple[float, float]:
     return s, 1.0 if s - net.act.midpoint >= 0.0 else -1.0
 
 
+def check_pm1(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of a is exactly +1 or -1."""
+    if not np.all(np.abs(a) == 1.0):
+        raise ValueError(f"{what} must be exactly +-1")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     X: np.ndarray  # (m, n) entries in {-1, +1}
@@ -143,10 +150,8 @@ class LabeledDataset:
             raise ValueError("X must be a nonempty matrix")
         if y.shape != (X.shape[0],):
             raise DimensionError("label count does not match example count")
-        if not np.all(np.abs(X) == 1.0):
-            raise ValueError("features must be exactly +-1")
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError("labels must be exactly +-1")
+        check_pm1(X, "features")
+        check_pm1(y, "labels")
 
     @property
     def m(self) -> int:
@@ -219,10 +224,16 @@ def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp
 
 
 def first_layer_ltf(net: BinaryMlp, j: int) -> LinearThresholdNeuron:
-    """Unit j as a linear-threshold function: w = W1[j], theta = -b1[j]."""
+    """Unit j as a linear-threshold function: w = W1[j], theta = -b1[j]; a zero row is degenerate."""
     if not 0 <= j < net.t:
         raise DimensionError(f"unit index {j} out of range for width {net.t}")
     return LinearThresholdNeuron(net.W1[j].copy(), -float(net.b1[j]))
+
+
+def unit_chow(net: BinaryMlp, j: int, source: ChowSource) -> ChowEstimate:
+    """The Chow parameters of unit j from source, keyed by j, so that a
+    Monte-Carlo source draws unit j's own stream in every command."""
+    return source.estimate(first_layer_ltf(net, j).handle(), net.n, key=j)
 
 
 def stabilize_subset(
@@ -242,25 +253,18 @@ def stabilize_subset(
     """
     if rescale not in ("none", "match-qnorm"):
         raise ValueError(f"unknown rescale mode {rescale!r}")
+    if p.p != 1.0 and chow_source is None:
+        raise ValueError("p > 1 stabilization requires a chow_source")
     W1 = net.W1.copy()
     b1 = net.b1.copy()
     mask = net.stabilized_mask.copy()
     for j in sorted(set(int(j) for j in S)):
-        if not 0 <= j < net.t:
-            raise DimensionError(f"unit index {j} out of range for width {net.t}")
-        if not np.any(W1[j] != 0.0):
-            warnings.warn(f"unit {j} has a zero weight row; skipped")
-            continue
-        ltf = LinearThresholdNeuron(W1[j], -float(b1[j]))
-        chow = None
-        if p.p != 1.0:
-            if chow_source is None:
-                raise ValueError("p > 1 stabilization requires a chow_source")
-            chow = chow_source.estimate(ltf.handle(), net.n, key=j)
         try:
+            ltf = first_layer_ltf(net, j)
+            chow = None if p.p == 1.0 else unit_chow(net, j, chow_source)
             res = stabilize(ltf, p, chow, mu=ltf.theta)
-        except DegenerateFunctionError:
-            warnings.warn(f"unit {j} is degenerate (zero coefficient vector); skipped")
+        except DegenerateFunctionError as exc:
+            warnings.warn(f"unit {j} is degenerate ({exc}); skipped")
             continue
         scale = norm(ltf.w, p.q) if rescale == "match-qnorm" else 1.0
         W1[j] = res.w_star * scale
@@ -295,11 +299,21 @@ def floats(text: str) -> np.ndarray:
 
 def write_lines(path, lines: Iterable[str], header: Optional[str] = None) -> None:
     """Write each line followed by a newline, after header when given; every
-    file the package writes is written here."""
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        fh.writelines(ln + "\n" for ln in lines)
+    file the package writes is written here. The text goes to a temporary file
+    in the same directory that replaces path once complete, so an exception
+    leaves the old file, or none. A symlink at path is followed, so its target
+    is replaced; an existing file gets the permissions of a new one."""
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            if header is not None:
+                fh.write(header + "\n")
+            fh.writelines(ln + "\n" for ln in lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_document(path, tag: str, fields: dict, header: Optional[str] = None) -> None:

@@ -10,16 +10,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
 from .fourier import DEFAULT_ENUMERATION_CAP, ChowEstimate, cube_mean
 
-# Best known Berry-Esseen constants; overridable per call for sensitivity runs.
-C0_DEFAULT = 0.47
-C1_DEFAULT = 21.82
+# Best known Berry-Esseen constants, and the term rho = 4*pi*C1 / (3*sqrt(3)) of the p > 1 bound.
+C0 = 0.47
+C1 = 21.82
+RHO = 4.0 * math.pi * C1 / (3.0 * math.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class LinearThresholdNeuron:
         if w.ndim != 1 or w.size < 1:
             raise DimensionError("w must be a nonempty vector")
         if not np.any(w != 0.0):
-            raise ValueError("w must not be the zero vector")
+            raise DegenerateFunctionError("zero weight vector: function is constant")
         if not (np.isfinite(w).all() and math.isfinite(self.theta)):
             raise ValueError("non-finite weight or threshold")
 
@@ -131,38 +132,27 @@ def robustness_analytic(chow: ChowEstimate, nrn: LinearThresholdNeuron, p: PNorm
     return (float(nrn.w @ chow.h_vec) - chow.h_empty * nrn.theta) / qn
 
 
-def stabilized_weights(h_vec: np.ndarray, p: PNorm, infty_mode: str = "vertex") -> np.ndarray:
+def stabilized_weights(h_vec: np.ndarray, p: PNorm) -> np.ndarray:
     """Closed-form maximizer of the mean signed distance, from h_vec alone.
 
-    For p = inf, "vertex" places unit magnitude on the first coordinate of
-    maximal |h_i| (the polytope-vertex maximizer); "statement" assigns |h_i|
-    to every maximal coordinate instead.
+    For p = inf it places unit magnitude on the first coordinate of maximal
+    |h_i| (the polytope-vertex maximizer).
     """
     h_vec = np.asarray(h_vec, dtype=np.float64)
     if not np.any(h_vec != 0.0):
         raise DegenerateFunctionError("zero coefficient vector: function is constant")
     if p.is_inf:
-        amax = np.abs(h_vec).max()
-        if infty_mode == "vertex":
-            w = np.zeros_like(h_vec)
-            imax = int(np.argmax(np.abs(h_vec)))
-            w[imax] = math.copysign(1.0, h_vec[imax])
-            return w
-        if infty_mode == "statement":
-            on = np.abs(h_vec) == amax
-            return np.where(on, np.sign(h_vec) * np.abs(h_vec), 0.0)
-        raise ValueError(f"unknown infty_mode {infty_mode!r}")
+        w = np.zeros_like(h_vec)
+        imax = int(np.argmax(np.abs(h_vec)))
+        w[imax] = math.copysign(1.0, h_vec[imax])
+        return w
     if p.p == 1.0:
         return np.sign(h_vec)
     return np.sign(h_vec) * (np.abs(h_vec) / norm(h_vec, p.p)) ** (p.p - 1.0)
 
 
 def stabilize(
-    nrn: LinearThresholdNeuron,
-    p: PNorm,
-    chow: Optional[ChowEstimate],
-    mu: float,
-    infty_mode: str = "vertex",
+    nrn: LinearThresholdNeuron, p: PNorm, chow: Optional[ChowEstimate], mu: float
 ) -> StabilizationResult:
     """Replacement weights for a neuron, plus the analytic objective value.
 
@@ -179,7 +169,7 @@ def stabilize(
     else:
         if chow is None:
             raise ValueError("p > 1 requires a ChowEstimate")
-        w_star = stabilized_weights(chow.h_vec, p, infty_mode=infty_mode)
+        w_star = stabilized_weights(chow.h_vec, p)
     analytic = None
     if chow is not None:
         if not np.any(chow.h_vec != 0.0):
@@ -188,18 +178,12 @@ def stabilize(
     return StabilizationResult(w_star=w_star, mu=mu, p=p, analytic_robustness=analytic, chow=chow)
 
 
-def alpha_mu(n: int, mu: float, support: str = "derived") -> float:
-    """E|S - mu| for S a sum of n independent uniform +-1/sqrt(n) variables.
-
-    The "derived" support places the atoms at i/sqrt(n) for even-offset
-    i in {-n, ..., n}; "printed" places them at i*sqrt(n) and is kept only
-    for auditing against the alternative reading of the source formula.
-    """
+def alpha_mu(n: int, mu: float) -> float:
+    """E|S - mu| for S a sum of n independent uniform +-1/sqrt(n) variables:
+    atoms at i/sqrt(n) for even-offset i in {-n, ..., n}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    scale = 1.0 / math.sqrt(n) if support == "derived" else math.sqrt(n)
-    if support not in ("derived", "printed"):
-        raise ValueError(f"unknown support {support!r}")
+    scale = 1.0 / math.sqrt(n)
     total = 0.0
     for i in range(-n, n + 1, 2):
         total += math.comb(n, (n - i) // 2) * abs(i * scale - mu)
@@ -225,30 +209,20 @@ class AccuracyBoundReport:
     mu: float
     gamma: float
     bound: float
-    c0: float
-    c1: float
     epsilon_be: float
     sigma: Optional[float] = None
     e_mu: Optional[float] = None
     alpha: Optional[float] = None
-
-    @property
-    def rho(self) -> float:
-        return 4.0 * math.pi * self.c1 / (3.0 * math.sqrt(3.0))
+    c0: ClassVar[float] = C0
+    c1: ClassVar[float] = C1
+    rho: ClassVar[float] = RHO
 
     @property
     def bound_clamped(self) -> float:
         return min(self.bound, 1.0)
 
 
-def accuracy_bound_p1(
-    chow: ChowEstimate,
-    n: int,
-    mu: float,
-    c0: float = C0_DEFAULT,
-    c1: float = C1_DEFAULT,
-    alpha_support: str = "derived",
-) -> AccuracyBoundReport:
+def accuracy_bound_p1(chow: ChowEstimate, n: int, mu: float) -> AccuracyBoundReport:
     """Disagreement bound for the p=1 stabilized comparison l(x) = x.w*/sqrt(n).
 
     mu is the threshold of the normalized comparison; a neuron bias theta
@@ -256,48 +230,37 @@ def accuracy_bound_p1(
     """
     if chow.n != n:
         raise DimensionError(f"chow dimension {chow.n} != {n}")
-    a = alpha_mu(n, mu, support=alpha_support)
+    a = alpha_mu(n, mu)
     gamma = abs(norm(chow.h_vec, 1.0) / math.sqrt(n) - chow.h_empty * mu - a)
-    bound = 1.5 * (c0 / math.sqrt(n) + math.sqrt(c0**2 / n + math.sqrt(2.0 / math.pi) * gamma))
+    bound = 1.5 * (C0 / math.sqrt(n) + math.sqrt(C0**2 / n + math.sqrt(2.0 / math.pi) * gamma))
     return AccuracyBoundReport(
         p=PNorm(1.0),
         mu=mu,
         gamma=gamma,
         bound=bound,
-        c0=c0,
-        c1=c1,
         epsilon_be=1.0 / math.sqrt(n),
         alpha=a,
     )
 
 
-def accuracy_bound_lp(
-    chow: ChowEstimate,
-    p: PNorm,
-    mu: float,
-    c0: float = C0_DEFAULT,
-    c1: float = C1_DEFAULT,
-) -> AccuracyBoundReport:
+def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundReport:
     """Disagreement bound for 1 < p < inf, with l(x) = x.w*/||w*||_2."""
     if not 1.0 < p.p < math.inf:
         raise ValueError("accuracy_bound_lp requires 1 < p < inf")
     w_star = stabilized_weights(chow.h_vec, p)
     sigma = norm(w_star, 2.0)
     eps = float(np.max(np.abs(w_star))) / sigma
-    rho = 4.0 * math.pi * c1 / (3.0 * math.sqrt(3.0))
     e_mu = folded_gaussian_mean(mu)
     denom = norm(np.abs(chow.h_vec) ** (p.p - 1.0), 2.0)
     gamma = abs(norm(chow.h_vec, p.p) ** p.p / denom - chow.h_empty * mu - e_mu)
     bound = 1.5 * (
-        c0 * eps + math.sqrt((c0 * eps) ** 2 + math.sqrt(2.0 / math.pi) * (gamma + rho * eps))
+        C0 * eps + math.sqrt((C0 * eps) ** 2 + math.sqrt(2.0 / math.pi) * (gamma + RHO * eps))
     )
     return AccuracyBoundReport(
         p=p,
         mu=mu,
         gamma=gamma,
         bound=bound,
-        c0=c0,
-        c1=c1,
         epsilon_be=eps,
         sigma=sigma,
         e_mu=e_mu,

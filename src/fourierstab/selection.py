@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DegenerateFunctionError, DimensionError
 from .fourier import ChowEstimate
 from .network import (
     BinaryMlp,
@@ -27,6 +27,7 @@ from .network import (
     first_layer_ltf,
     fmt_vec,
     stabilize_subset,
+    unit_chow,
 )
 from .neuron import PNorm, norm
 
@@ -85,18 +86,30 @@ def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
     return norm(chow.h_vec, p.p) - float(ltf.w @ chow.h_vec) / norm(ltf.w, p.q)
 
 
-def _unit_gains(net: BinaryMlp, cfg: SelectionConfig) -> np.ndarray:
+def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> tuple[np.ndarray, list[int]]:
+    """delta_r of every unit, and the units that selection may stabilize.
+
+    A degenerate unit (a zero row or a zero coefficient vector) is one that
+    stabilize_subset skips: it gains 0 and is left out, with a trace warning.
+    """
     gains = np.zeros(net.t)
+    eligible = []
     for j in range(net.t):
-        ltf = first_layer_ltf(net, j)
-        chow = cfg.chow_source.estimate(ltf.handle(), net.n, key=j)
+        try:
+            chow = unit_chow(net, j, cfg.chow_source)
+            if not np.any(chow.h_vec != 0.0):
+                raise DegenerateFunctionError("zero coefficient vector: function is constant")
+        except DegenerateFunctionError as exc:
+            trace.warnings.append(f"unit {j} is degenerate ({exc}); delta_r = 0, left out")
+            continue
         gains[j] = delta_r(net, j, cfg.p, chow)
-    return gains
+        eligible.append(j)
+    return gains, eligible
 
 
-def _gain_order(gains: np.ndarray) -> list[int]:
-    """Indices by descending gain, ties broken by ascending index."""
-    return list(np.lexsort((np.arange(gains.size), -gains)))
+def _gain_order(gains: np.ndarray, eligible: list[int]) -> list[int]:
+    """Eligible indices by descending gain, ties broken by ascending index."""
+    return sorted(eligible, key=lambda j: (-gains[j], j))
 
 
 def _try(base: BinaryMlp, units, val: LabeledDataset, cfg: SelectionConfig) -> tuple[BinaryMlp, float]:
@@ -129,8 +142,8 @@ def gmb(
     """Stabilize units in fixed descending-gain order, stopping before the
     first unit whose inclusion drops validation accuracy below beta."""
     trace = SelectionTrace()
-    gains = _unit_gains(net, cfg)
-    trace.order = _gain_order(gains)
+    gains, eligible = _unit_gains(net, cfg, trace)
+    trace.order = _gain_order(gains, eligible)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:
         return current, trace
@@ -159,10 +172,10 @@ def gmb_fast(
     search result is kept either way.
     """
     trace = SelectionTrace()
-    gains = _unit_gains(net, cfg)
-    order = trace.order = _gain_order(gains)
+    gains, eligible = _unit_gains(net, cfg, trace)
+    order = trace.order = _gain_order(gains, eligible)
     prefix: dict[int, tuple[BinaryMlp, float]] = {}  # length -> (model, accuracy)
-    lo, hi = 0, net.t
+    lo, hi = 0, len(order)
     while lo < hi:
         mid = (lo + hi + 1) // 2  # never a length tried before: lo < mid <= hi
         prefix[mid] = _try(net, order[:mid], val, cfg)
@@ -205,7 +218,7 @@ def gmbc(
     otherwise.
     """
     trace = SelectionTrace()
-    gains = _unit_gains(net, cfg)
+    gains, eligible = _unit_gains(net, cfg, trace)
     a_bar = cfg.resolved_a_bar(val.m)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:
@@ -219,7 +232,7 @@ def gmbc(
         ratio = float(gains[j]) / max(acc - cand_acc, a_bar)
         heapq.heappush(heap, (-ratio, j, round_no, candidate, cand_acc))
 
-    for j in range(net.t):
+    for j in eligible:
         push(j)
     while heap:
         _, j, rnd, candidate, cand_acc = heapq.heappop(heap)

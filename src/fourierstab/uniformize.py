@@ -16,8 +16,9 @@ from .errors import DimensionError, SchemaError
 from .network import floats, fmt_vec, read_document, write_document
 
 
-def jacobi_eigh(C: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(C: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations,
+    at most 100 sweeps, until the off-diagonal norm is at most 1e-12.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
     and each eigenvector's largest-magnitude entry made positive.
@@ -27,9 +28,9 @@ def jacobi_eigh(C: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     if A.shape != (d, d):
         raise DimensionError("matrix must be square")
     V = np.eye(d)
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= tol:
+        if off <= 1e-12:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):

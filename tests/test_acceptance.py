@@ -31,8 +31,8 @@ from fourierstab.network import (
     train_sgd,
 )
 from fourierstab.neuron import (
-    C0_DEFAULT,
-    C1_DEFAULT,
+    C0,
+    C1,
     LinearThresholdNeuron,
     PNorm,
     accuracy_bound_lp,
@@ -184,12 +184,12 @@ class TestCriterion07TailBound:
             for mu in [0.0, 0.5, 1.0]:
                 for u in [0.05, 0.1, 0.3, 0.5, 1.0]:
                     exact = float(np.mean(np.abs(proj - mu) <= u))
-                    assert exact <= u * math.sqrt(2.0 / math.pi) + 2.0 * C0_DEFAULT * eps
+                    assert exact <= u * math.sqrt(2.0 / math.pi) + 2.0 * C0 * eps
 
 
 class TestCriterion08P2Bound:
     def test_criterion_08(self):
-        rho = 4.0 * math.pi * C1_DEFAULT / (3.0 * math.sqrt(3.0))
+        rho = 4.0 * math.pi * C1 / (3.0 * math.sqrt(3.0))
         assert rho == pytest.approx(52.77, abs=0.01)
         rng = np.random.default_rng(108)
         for _ in range(100):

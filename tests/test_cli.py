@@ -22,6 +22,7 @@ from fourierstab.cli import (
     main,
 )
 from fourierstab.fourier import MonteCarloChow, chow_exact
+from fourierstab.neuron import PNorm, stabilized_weights
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -36,6 +37,11 @@ from fourierstab.uniformize import load_covariance_model
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def first_line(path):
+    with open(path) as fh:
+        return fh.readline()
 
 
 @pytest.fixture()
@@ -104,7 +110,7 @@ class TestGenData:
         prefix = tmp_path / "d"
         run("gen-data", "--kind", "noisy-majority", "--n", 4, "--train", 10,
             "--val", 5, "--test", 5, "--seed", 0, "--out", prefix)
-        first = open(f"{prefix}.train.csv").readline()
+        first = first_line(f"{prefix}.train.csv")
         assert first.startswith("# config: cmd=gen-data")
         assert "seed=0" in first
 
@@ -126,7 +132,7 @@ class TestGenData:
         prefix = tmp_path / "u"
         assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", labels,
                    "--out", prefix) == EXIT_OK
-        first = open(f"{prefix}.train.csv").readline()
+        first = first_line(f"{prefix}.train.csv")
         assert f" labels={labels} " in first
 
 
@@ -181,6 +187,18 @@ class TestTrainChowStabilize:
         rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
         values = [float(ln.split(",")[1]) for ln in rows[1:]]
         assert values == [est.h_empty, *est.h_vec]
+
+    def test_stabilize_uses_the_coefficients_chow_writes(self, workspace, tmp_path):
+        # The same unit and seed give the same Monte-Carlo coefficients in both commands.
+        _, _, model = workspace
+        mc = ["--chow-mode", "mc", "--chow-epsilon", 0.1, "--chow-seed", 5]
+        for j in range(load_model(model).t):
+            chow, stab = tmp_path / f"chow{j}.csv", tmp_path / f"stab{j}.txt"
+            assert run("chow", "--model", model, "--unit", j, *mc, "--out", chow) == EXIT_OK
+            assert run("stabilize", "--model", model, "--units", j, "--p", 2, *mc, "--out", stab) == EXIT_OK
+            rows = [ln for ln in chow.read_text().splitlines() if ln and not ln.startswith("#")]
+            h_vec = np.array([float(ln.split(",")[1]) for ln in rows[2:]])
+            assert load_model(stab).W1[j].tolist() == stabilized_weights(h_vec, PNorm(2.0)).tolist()
 
     def test_stabilize_all_p1(self, workspace, tmp_path):
         _, _, model = workspace
@@ -406,10 +424,17 @@ class TestExitCodes:
             (["select", "--algorithm", "gmbc", "--a-bar", "nan"], "--a-bar"),
             (["select", "--a-bar", "inf"], "--a-bar"),
             (["select", "--a-bar", "0"], "--a-bar"),
+            (["stabilize", "--p", "0.5"], "--p"),
+            (["stabilize", "--p", "abc"], "--p"),
+            (["select", "--p", "0.5"], "--p"),
+            (["select", "--p", "abc"], "--p"),
+            (["bounds", "--unit", "0", "--p", "0.5"], "--p"),
+            (["bounds", "--unit", "0", "--p", "abc"], "--p"),
         ],
         ids=["noise-nan", "noise-3", "noise-neg", "lr-nan", "lr-neg", "at-epsilon-inf", "at-epsilon-nan",
              "at-epsilon-neg", "chow-delta-5", "chow-delta-0", "chow-delta-1", "chow-epsilon-0",
-             "chow-epsilon-inf", "a-bar-nan", "a-bar-inf", "a-bar-0"],
+             "chow-epsilon-inf", "a-bar-nan", "a-bar-inf", "a-bar-0", "stabilize-p-half", "stabilize-p-abc",
+             "select-p-half", "select-p-abc", "bounds-p-half", "bounds-p-abc"],
     )
     def test_out_of_range_float_is_param_error(self, workspace, tmp_path, capsys, argv, flag):
         _, prefix, model = workspace
@@ -494,6 +519,63 @@ class TestExitCodes:
         assert re.search(r"\b_\w", err) is None  # no Python name such as _number
         assert not out.exists()
 
+    def test_zero_row_unit(self, workspace, tmp_path, capsys):
+        # select leaves the unit out with a warning; chow and bounds refuse it as degenerate.
+        _, prefix, model = workspace
+        net = load_model(model)
+        W1 = net.W1.copy()
+        W1[1] = 0.0
+        zero = tmp_path / "zero.txt"
+        save_model(BinaryMlp(W1, net.b1, net.act, net.W2, net.b2, net.stabilized_mask), zero)
+        trace = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run("select", "--model", zero, "--data", prefix, "--beta", 0.0, "--p", 2,
+                   "--out-model", tmp_path / "m.txt", "--out-trace", trace) == EXIT_OK
+        out, err = capsys.readouterr()
+        mask = load_model(tmp_path / "m.txt").stabilized_mask
+        assert not mask[1] and mask.sum() == net.t - 1
+        assert f"accepted {net.t - 1}/{net.t} units" in out
+        assert "warning: unit 1 is degenerate (zero weight vector" in err
+        lines = trace.read_text().splitlines()
+        assert not any(ln.startswith("1,") for ln in lines)
+        assert "# warning: unit 1 is degenerate (zero weight vector" in "\n".join(lines)
+        assert f"accepted={net.t - 1} " in lines[-1] and "warnings=1" in lines[-1]
+        for argv in (["chow"], ["bounds", "--p", 2]):
+            capsys.readouterr()
+            assert run(*argv, "--model", zero, "--unit", 1, "--out", tmp_path / "o.csv") == EXIT_DEGENERATE
+            assert "zero weight vector" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("gen-data", "--out"), ("train", "--out"), ("select-model", "--out-model"),
+         ("select-trace", "--out-trace")],
+    )
+    def test_missing_output_directory_is_param_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                                     command, flag):
+        # Refused before any input is loaded or any model trained, and nothing is written.
+        _, prefix, model = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        missing = out / "nodir" / "o"
+        work = []
+        for name in ("load_dataset", "load_model", "train_sgd"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: work.append(a))
+        argv = {
+            "gen-data": ["gen-data", "--kind", "planted-ltf", "--out", missing],
+            "train": ["train", "--data", prefix, "--out", missing],
+            "select-model": ["select", "--model", model, "--data", prefix, "--beta", 0.0,
+                             "--out-model", missing, "--out-trace", out / "t"],
+            "select-trace": ["select", "--model", model, "--data", prefix, "--beta", 0.0,
+                             "--out-model", out / "m", "--out-trace", missing],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument {flag}: no writable directory" in err and "Traceback" not in err
+        assert work == [] and list(out.iterdir()) == []
+
     def test_degenerate_error(self, tmp_path):
         # A constant unit has a zero coefficient vector; the p=2 bound report
         # cannot normalize it.
@@ -573,7 +655,7 @@ def test_config_header_records_every_parsed_argument(workspace, tmp_path, rng, n
     args = vars(build_parser().parse_args(argv))
     expected = {k: str(v) for k, v in args.items() if k not in _NOT_CONFIG}
     for path in outputs:
-        first = open(path).readline().rstrip("\n")
+        first = first_line(path).rstrip("\n")
         assert first.startswith(f"# config: cmd={args['command']} ")
         pairs = [tok.partition("=")[::2] for tok in first.split()[3:]]
         assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
@@ -588,7 +670,7 @@ def _header_round_trip(prefix, tmp_path, data):
         shutil.copy(f"{prefix}.{split}.csv", f"{data}.{split}.csv")
     argv = ["train", "--data", str(data), "--width", "3", "--epochs", "1", "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_OK
-    tokens = shlex.split(open(tmp_path / "o").readline())
+    tokens = shlex.split(first_line(tmp_path / "o"))
     assert tokens[:3] == ["#", "config:", "cmd=train"]
     args = vars(build_parser().parse_args(argv))
     expected = {k: str(v) for k, v in args.items() if k not in _NOT_CONFIG}

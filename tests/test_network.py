@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierstab.errors import DimensionError, SchemaError
+from fourierstab.errors import DegenerateFunctionError, DimensionError, SchemaError
 from fourierstab.fourier import ExactChow
 from fourierstab.network import (
     Activation,
@@ -26,6 +26,7 @@ from fourierstab.network import (
     save_model,
     stabilize_subset,
     train_sgd,
+    write_lines,
 )
 from fourierstab.neuron import PNorm, norm, robustness_exact, sign_pm1
 
@@ -225,6 +226,11 @@ class TestFirstLayerLtf:
         with pytest.raises(DimensionError):
             first_layer_ltf(small_net(), 2)
 
+    def test_zero_row_is_degenerate(self):
+        net = replace(small_net(), W1=np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(DegenerateFunctionError):
+            first_layer_ltf(net, 1)
+
 
 class TestStabilizeSubset:
     def test_only_selected_rows_change(self, rng):
@@ -337,6 +343,31 @@ class TestSerialization:
         assert back.act is net.act
         np.testing.assert_array_equal(back.stabilized_mask, net.stabilized_mask)
         assert back.seed_lineage == net.seed_lineage
+
+    def test_write_is_atomic(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["old"])
+
+        def lines():
+            yield "first"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_lines(path, lines(), header="# config: x")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        write_lines(path, ["new"])
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_write_follows_symlink(self, tmp_path):
+        target = tmp_path / "target.txt"
+        write_lines(target, ["old"])
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write_lines(link, ["new"])
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
     def test_model_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -8,8 +8,8 @@ from conftest import constant, dictator, majority3, random_ltf
 from fourierstab.errors import DegenerateFunctionError, DimensionError
 from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube
 from fourierstab.neuron import (
-    C0_DEFAULT,
-    C1_DEFAULT,
+    C0,
+    C1,
     LinearThresholdNeuron,
     PNorm,
     accuracy_bound_lp,
@@ -81,6 +81,10 @@ class TestLinearThresholdNeuron:
     def test_non_finite_rejected(self, w, theta):
         with pytest.raises(ValueError):
             LinearThresholdNeuron(np.array(w), theta)
+
+    def test_zero_weight_vector_is_degenerate(self):
+        with pytest.raises(DegenerateFunctionError, match="zero weight vector"):
+            LinearThresholdNeuron(np.zeros(3), 0.5)
 
 
 class TestDistance:
@@ -193,12 +197,6 @@ class TestStabilize:
         np.testing.assert_array_equal(res.w_star, [1.0, 0.0])
         assert res.analytic_robustness == pytest.approx(0.8 - 0.1 * 0.5)
 
-    def test_pinf_statement_variant(self):
-        chow = ChowEstimate(3, 0.0, np.array([0.5, -0.5, 0.25]), "exact")
-        nrn = LinearThresholdNeuron(np.array([1.0, -1.0, 0.5]), 0.0)
-        res = stabilize(nrn, PNorm(math.inf), chow, mu=0.0, infty_mode="statement")
-        np.testing.assert_array_equal(res.w_star, [0.5, -0.5, 0.0])
-
     def test_pinf_tie_break_lowest_index(self):
         chow = ChowEstimate(3, 0.0, np.array([-0.5, 0.5, 0.1]), "exact")
         nrn = LinearThresholdNeuron(np.ones(3), 0.0)
@@ -271,10 +269,6 @@ class TestAlphaMu:
     def test_n2_large_mu(self):
         assert alpha_mu(2, 10.0) == pytest.approx(10.0, abs=1e-12)
 
-    def test_printed_variant_differs(self):
-        # The audit variant scales atoms by sqrt(n) instead and gives sqrt(2).
-        assert alpha_mu(2, 0.0, support="printed") == pytest.approx(math.sqrt(2.0))
-
     def test_matches_direct_expectation(self):
         for n in range(1, 13):
             X = cube(n)
@@ -319,7 +313,7 @@ class TestTailBound:
             for mu in [0.0, 0.5, 1.0]:
                 for u in [0.05, 0.1, 0.3, 0.5, 1.0]:
                     exact = float(np.mean(np.abs(proj - mu) <= u))
-                    assert exact <= u * math.sqrt(2.0 / math.pi) + 2.0 * C0_DEFAULT * eps
+                    assert exact <= u * math.sqrt(2.0 / math.pi) + 2.0 * C0 * eps
 
 
 class TestAccuracyBoundP1:
@@ -327,8 +321,8 @@ class TestAccuracyBoundP1:
         chow = ChowEstimate(100, 0.0, np.zeros(100), "exact")
         # gamma = 0 requires matched terms; check the closed form directly.
         n = 100
-        bound = 1.5 * (C0_DEFAULT / math.sqrt(n) + math.sqrt(C0_DEFAULT**2 / n))
-        assert bound == pytest.approx(3.0 * C0_DEFAULT / math.sqrt(n))
+        bound = 1.5 * (C0 / math.sqrt(n) + math.sqrt(C0**2 / n))
+        assert bound == pytest.approx(3.0 * C0 / math.sqrt(n))
         assert bound == pytest.approx(0.141)
 
     def test_majority_gamma_near_zero(self):

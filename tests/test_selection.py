@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fourierstab.fourier import ExactChow, chow_exact
+from fourierstab.fourier import ChowEstimate, ExactChow, chow_exact
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -86,6 +86,37 @@ class TestDeltaR:
             chow = chow_exact(first_layer_ltf(net, j).handle(), net.n)
             for p in [1.0, 2.0, math.inf]:
                 assert delta_r(net, j, PNorm(p), chow) >= -1e-9
+
+
+class ZeroChowForUnit1:
+    """Exact Chow parameters, except a zero coefficient vector for unit 1."""
+
+    def estimate(self, f, n, key=0):
+        est = ExactChow().estimate(f, n)
+        return ChowEstimate(n, est.h_empty, np.zeros(n), "exact") if key == 1 else est
+
+
+@pytest.mark.parametrize("algo", [gmb, gmb_fast, gmbc])
+@pytest.mark.parametrize(
+    "case, reason", [("zero-row", "zero weight vector"), ("zero-chow", "zero coefficient vector")]
+)
+def test_degenerate_unit_is_left_out_with_warning(rng, algo, case, reason):
+    net, _ = trained_net(rng, t=3)
+    source = ExactChow()
+    if case == "zero-row":
+        W1 = net.W1.copy()
+        W1[1] = 0.0
+        net = BinaryMlp(W1, net.b1, net.act, net.W2, net.b2, net.stabilized_mask)
+    else:
+        source = ZeroChowForUnit1()
+    val = teacher_dataset(net, rng)
+    cfg = SelectionConfig(beta=0.0, p=PNorm(2.0), chow_source=source)
+    model, trace = algo(net, val, cfg)
+    assert any(w.startswith(f"unit 1 is degenerate ({reason}") for w in trace.warnings)
+    assert 1 not in trace.order and 1 not in trace.accepted
+    assert sorted(trace.accepted) == [0, 2]
+    assert len(trace.accepted) == model.stabilized_mask.sum()
+    assert list(model.stabilized_mask) == [True, False, True]
 
 
 class TestGmb:
