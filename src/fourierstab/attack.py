@@ -56,21 +56,18 @@ def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Loss increase from flipping each single coordinate of each +-1 row of X.
 
     Every unit's pre-activation in every single-flip variant is the row's own
-    P = X @ W1.T + b1 plus -2*x_i*W1[:, i], taken from a (2n, t) table by the
-    sign of x_i: one (m, n, t) buffer, filled, shifted by P and activated in
-    place. The base margin follows BinaryMlp.margin's operation order, so the
-    base loss equals the one a forward pass gives.
+    P = net.preactivation(X) plus -2*x_i*W1[:, i], taken from a (2n, t) table
+    by the sign of x_i: one (m, n, t) buffer, filled, shifted by P and
+    activated in place. Both margins come from net.head.
     """
     m, n = X.shape
-    P = X @ net.W1.T
-    P += net.b1
+    P = net.preactivation(X)
     W = 2.0 * net.W1.T
     V = np.take(np.concatenate([-W, W]), np.arange(n) + n * (X < 0.0), axis=0)
     V += P[:, None, :]
     V = net.act.apply(V, out=V)
-    mid = net.act.midpoint
-    variant = (V.reshape(m * n, net.t) @ net.W2 + net.b2 - mid).reshape(m, n)
-    base = net.act.apply(P, out=P) @ net.W2 + net.b2 - mid
+    variant = net.head(V.reshape(m * n, net.t)).reshape(m, n)
+    base = net.head(net.act.apply(P, out=P))
     return np.logaddexp(0.0, -y[:, None] * variant) - np.logaddexp(0.0, -y * base)[:, None]
 
 

@@ -11,9 +11,11 @@ Files are written through network's text-format helpers, so machine-readable
 numbers carry 17 significant digits; human-readable tables on stdout use 6.
 
 Exit codes: 0 success; 2 bad parameters, from argparse when a flag is outside
-its domain or an output's directory is missing, before any work; otherwise
-main maps the exception a command raises through the table _EXIT_CODES: 3 missing file, 4 schema mismatch, 5 dimension mismatch,
-6 capacity exceeded, 7 degenerate unit, 2 any other ValueError.
+its domain, an output's directory is missing or an output path is a
+directory, before any work; otherwise main maps the exception a command
+raises through the table _EXIT_CODES: 3 missing file, 4 schema mismatch,
+5 dimension mismatch, 6 capacity exceeded, 7 degenerate unit, 2 any other
+ValueError.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from .errors import CapacityError, DegenerateFunctionError, DimensionError, Sche
 from .fourier import DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
 from .network import (
     Activation,
+    BinaryMlp,
     LabeledDataset,
     TrainConfig,
     accuracy,
     first_layer_ltf,
     fmt_vec,
+    fresh_mask,
     load_dataset,
     load_model,
     save_dataset,
@@ -46,7 +50,7 @@ from .network import (
     unit_chow,
     write_lines,
 )
-from .neuron import PNorm, accuracy_bound_lp, accuracy_bound_p1
+from .neuron import LinearThresholdNeuron, PNorm, accuracy_bound_lp, accuracy_bound_p1, sign_pm1
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -68,13 +72,19 @@ _EXIT_CODES = (
 )
 
 # gen-data refuses to draw more matrix cells than this (examples x n, or
-# teacher_width x n): load_dataset makes a Python float of every cell.
+# teacher_width x n), or to uniformize a larger input (rows x d):
+# load_dataset makes a Python float of every cell.
 GEN_DATA_CELL_CAP = 1 << 24
 
+# gen-data --kind uniformize refuses more input columns d than this: on a 2-core
+# Xeon, jacobi_eigh took 0.04 s at d=24, 0.26 s at d=48, 0.89 s at d=64, 4.7 s at d=96.
+UNIFORMIZE_DIM_CAP = 64
 
-# The output paths (gen-data's --out is a path prefix), whose directories main
-# checks before any work. With the dispatch entries they are not configuration,
-# so the same flags with another output path give the same bytes.
+
+# The output paths, whose directories main checks before any work; each but
+# gen-data's --out, a path prefix, must not itself be a directory. With the
+# dispatch entries they are not configuration, so the same flags with another
+# output path give the same bytes.
 _OUTPUTS = ("out", "out_model", "out_trace")
 _NOT_CONFIG = frozenset(("command", "fn", *_OUTPUTS))
 
@@ -152,16 +162,14 @@ def _load_split(prefix: str, split: str) -> LabeledDataset:
 def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_width: int):
     n = X.shape[1]
     if kind == "planted-ltf":
-        w = rng.normal(size=n)
-        return np.where(X @ w >= 0.0, 1.0, -1.0)
+        return LinearThresholdNeuron(rng.normal(size=n), 0.0).handle()(X)
     if kind == "planted-mlp":
         W1 = rng.normal(size=(teacher_width, n))
         b1 = rng.normal(scale=0.5, size=teacher_width)
         W2 = rng.normal(size=teacher_width)
-        score = np.tanh(X @ W1.T + b1) @ W2
-        return np.where(score >= 0.0, 1.0, -1.0)
+        return BinaryMlp(W1, b1, Activation.TANH, W2, 0.0, fresh_mask(teacher_width)).predict(X)
     if kind == "noisy-majority":
-        return np.where(X.sum(axis=1) >= 0.0, 1.0, -1.0)
+        return sign_pm1(X.sum(axis=1))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -190,6 +198,9 @@ def cmd_gen_data(args) -> int:
 
 def _gen_data_uniformize(args) -> int:
     raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
+    if raw.shape[1] > UNIFORMIZE_DIM_CAP or raw.size > GEN_DATA_CELL_CAP:
+        raise CapacityError(f"uniformize input is {raw.shape[0]}x{raw.shape[1]}, over the cap of "
+                            f"{UNIFORMIZE_DIM_CAP} columns or {GEN_DATA_CELL_CAP} cells")
     if args.labels:
         labels = np.loadtxt(args.labels, ndmin=1)
         if labels.shape[0] != raw.shape[0]:
@@ -199,7 +210,7 @@ def _gen_data_uniformize(args) -> int:
     model = uniformize.fit(raw)
     model.validate()
     bits = uniformize.binarize(model, raw)
-    ds = LabeledDataset(bits, np.where(labels >= 0, 1.0, -1.0), split="train")
+    ds = LabeledDataset(bits, sign_pm1(labels), split="train")
     path = f"{args.out}.train.csv"
     save_dataset(ds, path, _config_header(args))
     uniformize.save_covariance_model(model, f"{args.out}.covmodel.txt")
@@ -210,30 +221,15 @@ def _gen_data_uniformize(args) -> int:
 # --- training ----------------------------------------------------------------
 
 
-def _train_cfg(args) -> TrainConfig:
-    return TrainConfig(
-        width=args.width,
-        activation=Activation(args.activation),
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-
-
 def cmd_train(args) -> int:
+    """train, and adv-train, which trains on each batch's greedy attack instead."""
     data = _load_split(args.data, "train")
-    net = train_sgd(data, _train_cfg(args))
-    save_model(net, args.out, _config_header(args))
-    print(f"train accuracy {accuracy(net, data):.6f}; model -> {args.out}")
-    return EXIT_OK
-
-
-def cmd_adv_train(args) -> int:
-    data = _load_split(args.data, "train")
-    net = adversarial_train(
-        data, _train_cfg(args), AdvTrainConfig(epochs=args.at_epochs, epsilon_l1=args.at_epsilon)
-    )
+    cfg = TrainConfig(width=args.width, activation=Activation(args.activation), epochs=args.epochs,
+                      learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed)
+    if args.command == "adv-train":
+        net = adversarial_train(data, cfg, AdvTrainConfig(epochs=args.at_epochs, epsilon_l1=args.at_epsilon))
+    else:
+        net = train_sgd(data, cfg)
     save_model(net, args.out, _config_header(args))
     print(f"train accuracy {accuracy(net, data):.6f}; model -> {args.out}")
     return EXIT_OK
@@ -371,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.set_defaults(fn=cmd_gen_data)
 
-    for name, fn in (("train", cmd_train), ("adv-train", cmd_adv_train)):
+    for name in ("train", "adv-train"):
         sp = sub.add_parser(name)
         sp.add_argument("--data", required=True, help="dataset path prefix")
         sp.add_argument("--width", type=_number(int, 1), default=32)
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "adv-train":
             sp.add_argument("--at-epochs", type=_number(int, 0), default=2)
             sp.add_argument("--at-epsilon", type=_number(float, 0.0), default=20.0)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("chow", help="degree-<=1 coefficients of a first-layer unit")
     sp.add_argument("--model", required=True)
@@ -447,9 +443,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for dest in (d for d in _OUTPUTS if d in vars(args)):
-        directory = os.path.dirname(getattr(args, dest)) or "."
+        path, flag = getattr(args, dest), f"--{dest.replace('_', '-')}"
+        directory = os.path.dirname(path) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-            parser.error(f"argument --{dest.replace('_', '-')}: no writable directory {directory!r}")
+            parser.error(f"argument {flag}: no writable directory {directory!r}")
+        if args.command != "gen-data" and os.path.isdir(path):
+            parser.error(f"argument {flag}: is a directory: {path!r}")
     try:
         return args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

@@ -187,23 +187,23 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
     )
 
 
-def influence(f, i: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def influence(f, i: int, n: int) -> float:
     """Exact probability that flipping coordinate i changes f."""
     if not 0 <= i < n:
         raise DimensionError(f"index {i} out of range for dimension {n}")
     flip = np.where(np.arange(n) == i, -1.0, 1.0)
     return float(
-        cube_mean(lambda X: np.count_nonzero(np.asarray(f(X)) != np.asarray(f(X * flip))), n, cap)
+        cube_mean(lambda X: np.count_nonzero(np.asarray(f(X)) != np.asarray(f(X * flip))), n)
     )
 
 
-def plancherel_inner(f, g, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def plancherel_inner(f, g, n: int) -> float:
     """E_x f(x)g(x) by direct enumeration; oracle for the coefficient-side sum."""
 
     def dot(X):
         return np.asarray(f(X), dtype=np.float64) @ np.asarray(g(X), dtype=np.float64)
 
-    return float(cube_mean(dot, n, cap))
+    return float(cube_mean(dot, n))
 
 
 def chow_all(f, n: int, cap: int = 16) -> np.ndarray:

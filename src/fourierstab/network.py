@@ -2,8 +2,10 @@
 
 The first layer is the unit of stabilization: unit j realizes the
 linear-threshold function with w = W1[j] and theta = -b1[j]. The prediction
-statistic is the head score minus the activation midpoint (0.5 for logistic,
-0 otherwise), so label = sign(margin) with sign(0) = +1.
+statistic, the margin, is the output layer's score minus the activation
+midpoint (0.5 for logistic, 0 otherwise), so label = sign(margin) with
+sign(0) = +1. Every evaluation of a network goes through BinaryMlp's
+preactivation and head, except train_sgd's steps, which work on raw arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import enum
 import itertools
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -46,14 +48,15 @@ class Activation(enum.Enum):
             return np.tanh(z, out=out)
         return np.maximum(z, 0.0, out=out)
 
-    def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """d act/dz given pre-activation z and activation a (sign has none)."""
+    def derivative(self, a: np.ndarray) -> np.ndarray:
+        """d act/dz at the z whose activation is a (sign has none); for relu,
+        a > 0 exactly when z > 0."""
         if self is Activation.LOGISTIC:
             return a * (1.0 - a)
         if self is Activation.TANH:
             return 1.0 - a * a
         if self is Activation.RELU:
-            return (z > 0.0).astype(np.float64)
+            return (a > 0.0).astype(np.float64)
         raise ValueError("sign activation has no usable derivative")
 
     @property
@@ -91,23 +94,26 @@ class BinaryMlp:
     def t(self) -> int:
         return self.W1.shape[0]
 
-    def hidden(self, X: np.ndarray) -> np.ndarray:
-        """Hidden activations act(X @ W1.T + b1), for a batch or one input.
-
-        The bias and the activation go into the matmul's own result, so a
-        forward pass allocates one full-size buffer; fresh multi-megabyte
-        temporaries per call would otherwise dominate the greedy attack.
-        """
+    def preactivation(self, X: np.ndarray) -> np.ndarray:
+        """X @ W1.T + b1 in the matmul's own result, which the caller may
+        overwrite: fresh multi-megabyte temporaries per forward pass would
+        otherwise dominate the greedy attack."""
         Z = X @ self.W1.T
         Z += self.b1
+        return Z
+
+    def hidden(self, X: np.ndarray) -> np.ndarray:
+        """Hidden activations, for a batch or one input, in the pre-activations' buffer."""
+        Z = self.preactivation(X)
         return self.act.apply(Z, out=Z)
 
-    def score(self, X: np.ndarray) -> np.ndarray:
-        return self.hidden(X) @ self.W2 + self.b2
+    def head(self, A: np.ndarray) -> np.ndarray:
+        """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""
+        return A @ self.W2 + self.b2 - self.act.midpoint
 
     def margin(self, X: np.ndarray) -> np.ndarray:
-        """Score minus the activation midpoint; label = sign(margin)."""
-        return self.score(X) - self.act.midpoint
+        """The head of the hidden activations; label = sign(margin)."""
+        return self.head(self.hidden(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -118,15 +124,6 @@ class BinaryMlp:
 
 def fresh_mask(t: int) -> np.ndarray:
     return np.zeros(t, dtype=bool)
-
-
-def forward(net: BinaryMlp, x) -> tuple[float, float]:
-    """Score and +-1 label for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({net.n},)")
-    s = float(net.score(x[None, :])[0])
-    return s, 1.0 if s - net.act.midpoint >= 0.0 else -1.0
 
 
 def check_pm1(a: np.ndarray, what: str) -> None:
@@ -204,10 +201,9 @@ def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp
                 net = BinaryMlp(W1, b1, act, W2, b2, fresh_mask(t))
                 Xb = perturb(net, Xb, yb)
             B = Xb.shape[0]
-            Z = Xb @ W1.T + b1
-            A = act.apply(Z)
+            A = act.apply(Xb @ W1.T + b1)
             g = _logistic_loss_grad(A @ W2 + b2 - mid, yb)
-            dZ = (g[:, None] * W2[None, :]) * act.derivative(Z, A)
+            dZ = (g[:, None] * W2[None, :]) * act.derivative(A)
             W2 = W2 - lr * (g @ A) / B
             b2 = b2 - lr * float(g.mean())
             W1 = W1 - lr * (dZ.T @ Xb) / B

@@ -15,7 +15,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
-from .fourier import DEFAULT_ENUMERATION_CAP, ChowEstimate, cube_mean
+from .fourier import ChowEstimate, cube_mean
 
 # Best known Berry-Esseen constants, and the term rho = 4*pi*C1 / (3*sqrt(3)) of the p > 1 bound.
 C0 = 0.47
@@ -114,11 +114,9 @@ def distance_lp(x, nrn: LinearThresholdNeuron, p: PNorm) -> float:
     return abs(float(x @ nrn.w) - nrn.theta) / norm(nrn.w, p.q)
 
 
-def robustness_exact(
-    nrn: LinearThresholdNeuron, p: PNorm, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def robustness_exact(nrn: LinearThresholdNeuron, p: PNorm) -> float:
     """Mean lp distance to the decision boundary over the whole cube."""
-    return float(cube_mean(lambda X: np.abs(X @ nrn.w - nrn.theta).sum(), nrn.n, cap)) / norm(nrn.w, p.q)
+    return float(cube_mean(lambda X: np.abs(X @ nrn.w - nrn.theta).sum(), nrn.n)) / norm(nrn.w, p.q)
 
 
 def robustness_analytic(chow: ChowEstimate, nrn: LinearThresholdNeuron, p: PNorm) -> float:
@@ -267,6 +265,6 @@ def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundR
     )
 
 
-def disagreement_exact(a, b, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def disagreement_exact(a, b, n: int) -> float:
     """Exact Pr_x[a(x) != b(x)] by enumeration."""
-    return float(cube_mean(lambda X: np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))), n, cap))
+    return float(cube_mean(lambda X: np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))), n))

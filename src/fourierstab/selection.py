@@ -63,12 +63,22 @@ class SelectionStep:
 @dataclass
 class SelectionTrace:
     order: list[int] = field(default_factory=list)
-    accepted: list[int] = field(default_factory=list)
-    steps: list[SelectionStep] = field(default_factory=list)
+    steps: list[SelectionStep] = field(default_factory=list)  # one per accepted unit, in order
     accuracy_evaluations: int = 0
     verification_evaluations: int = 0
-    proxy_total: float = 0.0
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def accepted(self) -> list[int]:
+        return [step.index for step in self.steps]
+
+    @property
+    def proxy_total(self) -> float:
+        """The steps' delta_r summed in acceptance order, as the trace CSV's cumulative column."""
+        total = 0.0
+        for step in self.steps:
+            total += step.delta_r
+        return total
 
 
 def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
@@ -118,12 +128,6 @@ def _try(base: BinaryMlp, units, val: LabeledDataset, cfg: SelectionConfig) -> t
     return model, accuracy(model, val)
 
 
-def _accept(trace: SelectionTrace, step: SelectionStep) -> None:
-    trace.steps.append(step)
-    trace.accepted.append(step.index)
-    trace.proxy_total += step.delta_r
-
-
 def _clean_accuracy(
     net: BinaryMlp, val: LabeledDataset, cfg: SelectionConfig, trace: SelectionTrace
 ) -> Optional[float]:
@@ -152,7 +156,7 @@ def gmb(
         trace.accuracy_evaluations += 1
         if cand_acc < cfg.beta:
             break
-        _accept(trace, SelectionStep(j, float(gains[j]), acc - cand_acc, float("nan"), cand_acc))
+        trace.steps.append(SelectionStep(j, float(gains[j]), acc - cand_acc, float("nan"), cand_acc))
         current, acc = candidate, cand_acc
     return current, trace
 
@@ -190,7 +194,7 @@ def gmb_fast(
     model, final_acc = prefix[lo]
     for rank, j in enumerate(order[:lo]):
         acc_after = prefix[rank + 1][1] if rank + 1 in prefix else float("nan")
-        _accept(trace, SelectionStep(j, float(gains[j]), float("nan"), float("nan"), acc_after))
+        trace.steps.append(SelectionStep(j, float(gains[j]), float("nan"), float("nan"), acc_after))
     if verify:
         for i in range(1, lo):
             if i not in prefix:
@@ -243,7 +247,7 @@ def gmbc(
         if cand_acc < cfg.beta:
             continue  # permanently ineligible; entry is never re-pushed
         raw = acc - cand_acc
-        _accept(trace, SelectionStep(j, float(gains[j]), raw, max(raw, a_bar), cand_acc))
+        trace.steps.append(SelectionStep(j, float(gains[j]), raw, max(raw, a_bar), cand_acc))
         current, acc = candidate, cand_acc
         round_no += 1
     if not trace.accepted:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierstab import cli
+from fourierstab import cli, uniformize
 from fourierstab.cli import (
     EXIT_CAPACITY,
     EXIT_DEGENERATE,
@@ -26,10 +26,12 @@ from fourierstab.neuron import PNorm, stabilized_weights
 from fourierstab.network import (
     Activation,
     BinaryMlp,
+    LabeledDataset,
     first_layer_ltf,
     fresh_mask,
     load_dataset,
     load_model,
+    save_dataset,
     save_model,
 )
 from fourierstab.uniformize import load_covariance_model
@@ -106,6 +108,37 @@ class TestGenData:
         assert run(*argv, "--train", 8, "--teacher-width", 10, "--out", tmp_path / "at") == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"at.{s}.csv" for s in ("test", "train", "validation")]
 
+    @pytest.mark.parametrize(
+        "kind, noise, rows",
+        [
+            ("planted-ltf", 0.0, ["-1,-1,-1,-1,-1,-1", "-1,-1,+1,+1,-1,+1", "+1,+1,-1,-1,-1,-1",
+                                  "+1,-1,-1,+1,-1,-1", "+1,-1,+1,+1,-1,-1", "+1,+1,-1,-1,-1,-1",
+                                  "-1,+1,-1,-1,-1,-1", "-1,-1,+1,+1,-1,+1"]),
+            ("planted-mlp", 0.0, ["-1,-1,-1,-1,-1,-1", "-1,-1,+1,+1,-1,-1", "+1,+1,-1,-1,-1,+1",
+                                  "+1,-1,-1,+1,-1,+1", "+1,-1,+1,+1,-1,-1", "+1,+1,-1,-1,-1,+1",
+                                  "-1,+1,-1,-1,-1,+1", "-1,-1,+1,+1,-1,-1"]),
+            ("noisy-majority", 0.25, ["-1,-1,-1,-1,-1,-1", "-1,-1,+1,+1,-1,-1", "+1,+1,-1,-1,-1,-1",
+                                      "+1,-1,-1,+1,-1,+1", "+1,-1,+1,+1,-1,+1", "+1,+1,-1,-1,-1,-1",
+                                      "-1,+1,-1,-1,-1,-1", "-1,-1,+1,+1,-1,-1"]),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, kind, noise, rows):
+        # The same seed draws the same features for every kind; the labels are the teacher's.
+        prefix = tmp_path / "d"
+        assert run("gen-data", "--kind", kind, "--n", 5, "--train", 4, "--val", 2, "--test", 2,
+                   "--noise", noise, "--teacher-width", 3, "--seed", 4, "--out", prefix) == EXIT_OK
+        header = (f"# config: cmd=gen-data input=None kind={kind} labels=None n=5 noise={noise} seed=4 "
+                  "teacher_width=3 test=2 train=4 val=2\nn=5\n")
+        for split, lo, hi in (("train", 0, 4), ("validation", 4, 6), ("test", 6, 8)):
+            assert (tmp_path / f"d.{split}.csv").read_text() == header + "".join(r + "\n" for r in rows[lo:hi])
+
+    def test_prefix_may_name_a_directory(self, tmp_path):
+        # --out is a prefix: with d a directory, the splits are d.train.csv and so on, beside it.
+        (tmp_path / "d").mkdir()
+        assert run("gen-data", "--kind", "noisy-majority", "--n", 3, "--train", 2, "--val", 1, "--test", 1,
+                   "--out", tmp_path / "d") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "d.test.csv", "d.train.csv", "d.validation.csv"]
+
     def test_config_header_present(self, tmp_path):
         prefix = tmp_path / "d"
         run("gen-data", "--kind", "noisy-majority", "--n", 4, "--train", 10,
@@ -124,6 +157,23 @@ class TestGenData:
         assert ds.m == 300 and ds.n == 3
         model = load_covariance_model(f"{prefix}.covmodel.txt")
         model.validate()
+
+    def test_uniformize_caps(self, tmp_path, monkeypatch, capsys):
+        # At a cap of 3 columns and 12 cells, a 4x3 input fits; 4 columns, or 5 rows of 3,
+        # do not, and are refused before fitting.
+        monkeypatch.setattr(cli, "UNIFORMIZE_DIM_CAP", 3)
+        monkeypatch.setattr(cli, "GEN_DATA_CELL_CAP", 12)
+        fitted, fit = [], uniformize.fit
+        monkeypatch.setattr(uniformize, "fit", lambda raw: fitted.append(raw) or fit(raw))
+        rng = np.random.default_rng(0)
+        for rows, d, code in ((4, 4, EXIT_CAPACITY), (5, 3, EXIT_CAPACITY), (4, 3, EXIT_OK)):
+            raw = tmp_path / f"raw{rows}x{d}.csv"
+            np.savetxt(raw, rng.normal(size=(rows, d)), delimiter=",")
+            assert run("gen-data", "--kind", "uniformize", "--input", raw, "--out", tmp_path / "u") == code
+        err = capsys.readouterr().err
+        assert err.count("over the cap of 3 columns or 12 cells") == 2
+        assert "input is 4x4," in err and "input is 5x3," in err
+        assert [a.shape for a in fitted] == [(4, 3)]
 
     def test_uniformize_header_records_labels(self, tmp_path, rng):
         raw, labels = tmp_path / "raw.csv", tmp_path / "labels.txt"
@@ -269,6 +319,43 @@ class TestSelectAttackEval:
         assert len(set(clean)) == 1
         assert robust[0] == clean[0]  # zero budget: robust = clean
         assert robust == sorted(robust, reverse=True)
+
+    @pytest.fixture()
+    def tiny_logistic(self, tmp_path, monkeypatch):
+        """A fixed width-2 logistic model and six test rows, four of them classified correctly,
+        written to the working directory as m.txt and d.test.csv."""
+        monkeypatch.chdir(tmp_path)
+        save_model(BinaryMlp(np.array([[1.0, -2.0, 0.5, 0.0], [0.5, 1.0, -1.0, 1.5]]), np.array([0.25, -0.5]),
+                             Activation.LOGISTIC, np.array([2.0, -1.5]), 0.25, fresh_mask(2)), "m.txt")
+        X = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1], [1, 1, -1, -1],
+                      [-1, -1, -1, -1]])
+        save_dataset(LabeledDataset(X, np.array([-1, 1, 1, -1, 1, -1]), split="test"), "d.test.csv")
+
+    def test_attack_golden_bytes(self, tiny_logistic):
+        assert run("attack", "--model", "m.txt", "--data", "d", "--epsilon", 6, "--out", "a.csv") == EXIT_OK
+        with open("a.csv") as fh:
+            assert fh.read() == (
+                "# config: cmd=attack data=d epsilon=6.0 model=m.txt split=test\n"
+                "example,true_label,clean_label,success,l1_cost,flips\n"
+                "0,-1,-1,1,2,1\n"
+                "1,1,1,1,4,1;2\n"
+                "2,1,1,1,2,1\n"
+                "3,-1,-1,1,2,1\n"
+                "4,1,-1,0,6,3;0;2\n"
+                "5,-1,1,0,6,2;0;3\n"
+            )
+
+    def test_eval_golden_bytes(self, tiny_logistic):
+        assert run("eval", "--model", "m.txt", "--data", "d", "--epsilons", "0,2,4,6", "--out", "e.csv") == EXIT_OK
+        with open("e.csv") as fh:
+            assert fh.read() == (
+                "# config: cmd=eval data=d epsilons=0,2,4,6 model=m.txt split=test\n"
+                "epsilon,clean_accuracy,robust_accuracy,mean_l1_cost_success\n"
+                "0,0.66666666666666663,0.66666666666666663,nan\n"
+                "2,0.66666666666666663,0.16666666666666666,2\n"
+                "4,0.66666666666666663,0,2.5\n"
+                "6,0.66666666666666663,0,2.5\n"
+            )
 
     def test_eval_deterministic_bytes(self, workspace, tmp_path):
         _, prefix, model = workspace
@@ -547,17 +634,22 @@ class TestExitCodes:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
-        "command, flag",
-        [("gen-data", "--out"), ("train", "--out"), ("select-model", "--out-model"),
-         ("select-trace", "--out-trace")],
+        "command, flag, target",
+        [("gen-data", "--out", "missing"), ("train", "--out", "missing"),
+         ("select-model", "--out-model", "missing"), ("select-trace", "--out-trace", "missing"),
+         ("train", "--out", "directory"), ("select-model", "--out-model", "directory"),
+         ("select-trace", "--out-trace", "directory")],
+        ids=["gen-data---out", "train---out", "select-model---out-model", "select-trace---out-trace",
+             "train-into-directory", "select-model-into-directory", "select-trace-into-directory"],
     )
     def test_missing_output_directory_is_param_error(self, workspace, tmp_path, capsys, monkeypatch,
-                                                     command, flag):
-        # Refused before any input is loaded or any model trained, and nothing is written.
+                                                     command, flag, target):
+        # An output in a missing directory, or one that is a directory, is refused
+        # before any input is loaded or any model trained, and nothing is written.
         _, prefix, model = workspace
         out = tmp_path / "out"
         out.mkdir()
-        missing = out / "nodir" / "o"
+        missing = out / "nodir" / "o" if target == "missing" else out
         work = []
         for name in ("load_dataset", "load_model", "train_sgd"):
             monkeypatch.setattr(cli, name, lambda *a, **k: work.append(a))
@@ -573,7 +665,8 @@ class TestExitCodes:
             run(*argv)
         assert exc.value.code == EXIT_PARAMS
         err = capsys.readouterr().err
-        assert f"argument {flag}: no writable directory" in err and "Traceback" not in err
+        reason = "no writable directory" if target == "missing" else f"is a directory: '{out}'"
+        assert f"argument {flag}: {reason}" in err and "Traceback" not in err
         assert work == [] and list(out.iterdir()) == []
 
     def test_degenerate_error(self, tmp_path):

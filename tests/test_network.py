@@ -18,7 +18,6 @@ from fourierstab.network import (
     TrainConfig,
     accuracy,
     first_layer_ltf,
-    forward,
     fresh_mask,
     load_dataset,
     load_model,
@@ -46,39 +45,40 @@ def random_dataset(rng, m=64, n=8):
 
 
 class TestForward:
+    """The forward pass: margin and predict."""
+
     def test_sign_net_by_hand(self):
         net = small_net()
         # x = (1,1,1): unit0 -> +1, unit1 -> sign(-2+0.5) = -1.
-        s, label = forward(net, np.array([1.0, 1.0, 1.0]))
-        assert s == pytest.approx(1.0 - 0.5 - 0.25)
-        assert label == 1.0
-        s, label = forward(net, np.array([-1.0, -1.0, 1.0]))
-        assert s == pytest.approx(-1.0 + 0.5 - 0.25)
-        assert label == -1.0
+        X = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+        np.testing.assert_allclose(net.margin(X), [1.0 - 0.5 - 0.25, -1.0 + 0.5 - 0.25])
+        assert net.predict(X).tolist() == [1.0, -1.0]
 
     def test_logistic_midpoint(self):
-        # Zero weights: logistic hidden outputs 0.5 each; score = b2.
+        # Zero weights: logistic hidden outputs 0.5 each; score = b2, and the margin is b2 - 0.5.
         net = BinaryMlp(
             np.zeros((2, 3)), np.zeros(2), Activation.LOGISTIC, np.zeros(2), 0.5, fresh_mask(2)
         )
-        s, label = forward(net, np.array([1.0, 1.0, 1.0]))
-        assert s == 0.5
-        assert label == 1.0  # margin = 0.5 - 0.5 = 0 -> +1
+        x = np.array([[1.0, 1.0, 1.0]])
+        assert net.margin(x).tolist() == [0.0]
+        assert net.predict(x).tolist() == [1.0]  # margin = 0.5 - 0.5 = 0 -> +1
         net2 = BinaryMlp(
             np.zeros((2, 3)), np.zeros(2), Activation.LOGISTIC, np.zeros(2), 0.49, fresh_mask(2)
         )
-        assert forward(net2, np.array([1.0, 1.0, 1.0]))[1] == -1.0
+        assert net2.predict(x).tolist() == [-1.0]
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            forward(small_net(), np.array([1.0, 1.0]))
+            small_net().predict(np.array([[1.0, 1.0]]))
 
     def test_predict_matches_forward(self, rng):
+        # A batch and each of its rows alone get the same labels, the signs of their margins.
         net = small_net(Activation.TANH)
         X = rng.choice([-1.0, 1.0], size=(20, 3))
         labels = net.predict(X)
+        assert labels.tolist() == sign_pm1(net.margin(X)).tolist()
         for x, lbl in zip(X, labels):
-            assert forward(net, x)[1] == lbl
+            assert net.predict(x[None, :]).tolist() == [lbl]
 
 
 class TestBinaryMlp:
@@ -105,7 +105,7 @@ class TestActivation:
         eps = 1e-6
         for a in (Activation.LOGISTIC, Activation.TANH, Activation.RELU):
             num = (a.apply(z + eps) - a.apply(z - eps)) / (2 * eps)
-            ana = a.derivative(z, a.apply(z))
+            ana = a.derivative(a.apply(z))
             np.testing.assert_allclose(ana, num, atol=1e-6)
 
 
