@@ -33,6 +33,7 @@ from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_trai
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
 from .fourier import DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
 from .network import (
+    RESCALE_MODES,
     Activation,
     BinaryMlp,
     LabeledDataset,
@@ -72,21 +73,28 @@ _EXIT_CODES = (
 )
 
 # gen-data refuses to draw more matrix cells than this (examples x n, or
-# teacher_width x n), or to uniformize a larger input (rows x d):
-# load_dataset makes a Python float of every cell.
-GEN_DATA_CELL_CAP = 1 << 24
+# teacher_width x n), or to uniformize a larger input (rows x d): load_dataset
+# makes a Python float of every cell. train refuses a wider first layer (width x n).
+CELL_CAP = 1 << 24
 
 # gen-data --kind uniformize refuses more input columns d than this: on a 2-core
 # Xeon, jacobi_eigh took 0.04 s at d=24, 0.26 s at d=48, 0.89 s at d=64, 4.7 s at d=96.
 UNIFORMIZE_DIM_CAP = 64
 
 
-# The output paths, whose directories main checks before any work; each but
-# gen-data's --out, a path prefix, must not itself be a directory. With the
-# dispatch entries they are not configuration, so the same flags with another
-# output path give the same bytes.
+# The output flags. With the dispatch entries they are not configuration, so
+# the same flags with another output path give the same bytes.
 _OUTPUTS = ("out", "out_model", "out_trace")
 _NOT_CONFIG = frozenset(("command", "fn", *_OUTPUTS))
+
+
+def _output_paths(args) -> list[tuple[str, str]]:
+    """(flag, path) of every file the command writes, in the order it writes
+    them; gen-data's --out is a prefix of its files."""
+    if args.command != "gen-data":
+        return [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in _OUTPUTS if dest in vars(args)]
+    names = ["train.csv", "covmodel.txt"] if args.kind == "uniformize" else ["train.csv", "validation.csv", "test.csv"]
+    return [("--out", f"{args.out}.{name}") for name in names]
 
 
 def _config_value(v) -> str:
@@ -173,14 +181,14 @@ def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
     if args.kind == "uniformize":
         return _gen_data_uniformize(args)
     sizes = {"train": args.train, "validation": args.val, "test": args.test}
     total = sum(sizes.values())
     cells = max(total, args.teacher_width) * args.n
-    if cells > GEN_DATA_CELL_CAP:
-        raise CapacityError(f"gen-data would draw {cells} cells, over the cap of {GEN_DATA_CELL_CAP}")
+    if cells > CELL_CAP:
+        raise CapacityError(f"gen-data would draw {cells} cells, over the cap of {CELL_CAP}")
     rng = np.random.default_rng(args.seed)
     X = (1.0 - 2.0 * rng.integers(0, 2, size=(total, args.n))).astype(np.float64)
     y = _teacher_labels(args.kind, X, rng, args.teacher_width)
@@ -188,19 +196,18 @@ def cmd_gen_data(args) -> int:
         flip = rng.random(total) < args.noise
         y = np.where(flip, -y, y)
     start = 0
-    for split, m in sizes.items():
+    for (split, m), (_, path) in zip(sizes.items(), _output_paths(args)):
         ds = LabeledDataset(X[start : start + m], y[start : start + m], split=split)
-        save_dataset(ds, f"{args.out}.{split}.csv", _config_header(args))
+        save_dataset(ds, path, _config_header(args))
         start += m
     print(f"wrote {args.out}.{{train,validation,test}}.csv ({total} examples, n={args.n})")
-    return EXIT_OK
 
 
-def _gen_data_uniformize(args) -> int:
+def _gen_data_uniformize(args) -> None:
     raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    if raw.shape[1] > UNIFORMIZE_DIM_CAP or raw.size > GEN_DATA_CELL_CAP:
+    if raw.shape[1] > UNIFORMIZE_DIM_CAP or raw.size > CELL_CAP:
         raise CapacityError(f"uniformize input is {raw.shape[0]}x{raw.shape[1]}, over the cap of "
-                            f"{UNIFORMIZE_DIM_CAP} columns or {GEN_DATA_CELL_CAP} cells")
+                            f"{UNIFORMIZE_DIM_CAP} columns or {CELL_CAP} cells")
     if args.labels:
         labels = np.loadtxt(args.labels, ndmin=1)
         if labels.shape[0] != raw.shape[0]:
@@ -210,20 +217,21 @@ def _gen_data_uniformize(args) -> int:
     model = uniformize.fit(raw)
     model.validate()
     bits = uniformize.binarize(model, raw)
-    ds = LabeledDataset(bits, sign_pm1(labels), split="train")
-    path = f"{args.out}.train.csv"
-    save_dataset(ds, path, _config_header(args))
-    uniformize.save_covariance_model(model, f"{args.out}.covmodel.txt")
-    print(f"wrote {path} and {args.out}.covmodel.txt (d={model.d}, m={raw.shape[0]})")
-    return EXIT_OK
+    (_, path), (_, cov_path) = _output_paths(args)
+    save_dataset(LabeledDataset(bits, sign_pm1(labels), split="train"), path, _config_header(args))
+    uniformize.save_covariance_model(model, cov_path)
+    print(f"wrote {path} and {cov_path} (d={model.d}, m={raw.shape[0]})")
 
 
 # --- training ----------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     """train, and adv-train, which trains on each batch's greedy attack instead."""
     data = _load_split(args.data, "train")
+    cells = args.width * data.n
+    if cells > CELL_CAP:
+        raise CapacityError(f"{args.command} would draw {cells} weights, over the cap of {CELL_CAP}")
     cfg = TrainConfig(width=args.width, activation=Activation(args.activation), epochs=args.epochs,
                       learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed)
     if args.command == "adv-train":
@@ -232,13 +240,12 @@ def cmd_train(args) -> int:
         net = train_sgd(data, cfg)
     save_model(net, args.out, _config_header(args))
     print(f"train accuracy {accuracy(net, data):.6f}; model -> {args.out}")
-    return EXIT_OK
 
 
 # --- analysis ----------------------------------------------------------------
 
 
-def cmd_chow(args) -> int:
+def cmd_chow(args) -> None:
     net = load_model(args.model)
     est = unit_chow(net, args.unit, _chow_source(args))
     lines = ["coefficient,value", "empty," + fmt_vec(est.h_empty)]
@@ -246,20 +253,18 @@ def cmd_chow(args) -> int:
     lines.append(f"# mode={est.mode} samples={est.samples} epsilon={est.epsilon} delta={est.delta}")
     write_lines(args.out, lines, _config_header(args))
     print(f"unit {args.unit}: h_empty={est.h_empty:.6f}, ||h||_1={np.abs(est.h_vec).sum():.6f}")
-    return EXIT_OK
 
 
-def cmd_stabilize(args) -> int:
+def cmd_stabilize(args) -> None:
     net = load_model(args.model)
     units = range(net.t) if args.units == "all" else [int(u) for u in args.units.split(",")]
     out = stabilize_subset(net, units, PNorm(float(args.p)), _chow_source(args), rescale=args.rescale)
     save_model(out, args.out, _config_header(args))
     changed = int(np.sum(out.stabilized_mask & ~net.stabilized_mask))
     print(f"stabilized {changed} unit(s) at p={args.p}; model -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     net = load_model(args.model)
     val = _load_split(args.data, "validation")
     cfg = selection.SelectionConfig(
@@ -282,10 +287,9 @@ def cmd_select(args) -> int:
         f"accepted {len(trace.accepted)}/{net.t} units, proxy_total={trace.proxy_total:.6f}, "
         f"accuracy_evaluations={trace.accuracy_evaluations}"
     )
-    return EXIT_OK
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> None:
     net = load_model(args.model)
     data = _load_split(args.data, args.split)
     budget = AttackBudget(args.epsilon)
@@ -301,10 +305,9 @@ def cmd_attack(args) -> int:
     write_lines(args.out, lines, _config_header(args))
     n_success = int(np.count_nonzero(changed))
     print(f"attacked {data.m} examples at epsilon={args.epsilon:g}: {n_success} successes")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     net = load_model(args.model)
     data = _load_split(args.data, args.split)
     epsilons = [float(e) for e in args.epsilons.split(",")]
@@ -313,10 +316,9 @@ def cmd_eval(args) -> int:
     write_lines(args.out, lines, _config_header(args))
     for eps, clean, robust, cost in rows:
         print(f"epsilon={eps:g} clean={clean:.6f} robust={robust:.6f} mean_cost={cost:.6f}")
-    return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     net = load_model(args.model)
     ltf = first_layer_ltf(net, args.unit)
     p = PNorm(float(args.p))
@@ -340,7 +342,6 @@ def cmd_bounds(args) -> int:
     write_lines(args.out, lines, _config_header(args))
     for rep in reps:
         print(f"mu={rep.mu:.6g} gamma={rep.gamma:.6g} bound={rep.bound:.6g}")
-    return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--units", default="all", help="'all' or comma-separated indices")
     sp.add_argument("--p", type=_p_norm, default="1")
-    sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
+    sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_stabilize)
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--a-bar", type=_number(float, 0.0, lo_open=True), default=None)
     sp.add_argument("--p", type=_p_norm, default="1")
-    sp.add_argument("--rescale", choices=["none", "match-qnorm"], default="none")
+    sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
     _add_chow_flags(sp)
     sp.add_argument("--out-model", required=True)
     sp.add_argument("--out-trace", required=True)
@@ -442,20 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest in (d for d in _OUTPUTS if d in vars(args)):
-        path, flag = getattr(args, dest), f"--{dest.replace('_', '-')}"
+    for flag, path in _output_paths(args):
         directory = os.path.dirname(path) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             parser.error(f"argument {flag}: no writable directory {directory!r}")
-        if args.command != "gen-data" and os.path.isdir(path):
+        if os.path.isdir(path):
             parser.error(f"argument {flag}: is a directory: {path!r}")
     try:
-        return args.fn(args)
+        args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
         missing = "missing file: " if code == EXIT_MISSING_FILE else ""
         print(f"error: {missing}{exc}", file=sys.stderr)
         return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -187,14 +187,18 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
     )
 
 
+def disagreement_exact(a, b, n: int) -> float:
+    """Exact Pr_x[a(x) != b(x)] by enumeration."""
+    return float(cube_mean(lambda X: np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))), n))
+
+
 def influence(f, i: int, n: int) -> float:
-    """Exact probability that flipping coordinate i changes f."""
+    """Exact probability that flipping coordinate i changes f: the disagreement
+    of f with f on inputs whose bit i is flipped."""
     if not 0 <= i < n:
         raise DimensionError(f"index {i} out of range for dimension {n}")
     flip = np.where(np.arange(n) == i, -1.0, 1.0)
-    return float(
-        cube_mean(lambda X: np.count_nonzero(np.asarray(f(X)) != np.asarray(f(X * flip))), n)
-    )
+    return disagreement_exact(f, lambda X: f(X * flip), n)
 
 
 def plancherel_inner(f, g, n: int) -> float:

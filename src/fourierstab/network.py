@@ -232,6 +232,10 @@ def unit_chow(net: BinaryMlp, j: int, source: ChowSource) -> ChowEstimate:
     return source.estimate(first_layer_ltf(net, j).handle(), net.n, key=j)
 
 
+# stabilize_subset's rescale modes; the first is the default.
+RESCALE_MODES = ("none", "match-qnorm")
+
+
 def stabilize_subset(
     net: BinaryMlp,
     S: Iterable[int],
@@ -247,7 +251,7 @@ def stabilize_subset(
     activations. Degenerate units (zero row or zero coefficient vector) are
     skipped with a warning.
     """
-    if rescale not in ("none", "match-qnorm"):
+    if rescale not in RESCALE_MODES:
         raise ValueError(f"unknown rescale mode {rescale!r}")
     if p.p != 1.0 and chow_source is None:
         raise ValueError("p > 1 stabilization requires a chow_source")

@@ -8,14 +8,13 @@ Sign convention: sign(0) = +1 everywhere, so every neuron output is exactly
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
-from .fourier import ChowEstimate, cube_mean
+from .fourier import ChowEstimate, cube_mean, disagreement_exact  # noqa: F401  (re-exported)
 
 # Best known Berry-Esseen constants, and the term rho = 4*pi*C1 / (3*sqrt(3)) of the p > 1 bound.
 C0 = 0.47
@@ -100,10 +99,7 @@ class StabilizationResult:
     """Replacement weights w* with the closed-form objective value."""
 
     w_star: np.ndarray
-    mu: float
-    p: PNorm
     analytic_robustness: Optional[float]
-    chow: Optional[ChowEstimate]
 
 
 def distance_lp(x, nrn: LinearThresholdNeuron, p: PNorm) -> float:
@@ -119,15 +115,20 @@ def robustness_exact(nrn: LinearThresholdNeuron, p: PNorm) -> float:
     return float(cube_mean(lambda X: np.abs(X @ nrn.w - nrn.theta).sum(), nrn.n)) / norm(nrn.w, p.q)
 
 
+def degree_one(chow: ChowEstimate, n: int) -> np.ndarray:
+    """The degree-1 coefficients h_vec of a unit on n inputs. A wrong n raises
+    DimensionError; a zero vector, whose unit is constant, DegenerateFunctionError."""
+    if chow.n != n:
+        raise DimensionError(f"chow dimension {chow.n} != unit dimension {n}")
+    if not np.any(chow.h_vec != 0.0):
+        raise DegenerateFunctionError("zero coefficient vector: function is constant")
+    return chow.h_vec
+
+
 def robustness_analytic(chow: ChowEstimate, nrn: LinearThresholdNeuron, p: PNorm) -> float:
     """Coefficient-side robustness (sum_i w_i h_i - h_empty*theta)/||w||_q."""
-    if chow.n != nrn.n:
-        raise DimensionError(f"chow dimension {chow.n} != neuron dimension {nrn.n}")
-    if not np.any(chow.h_vec != 0.0):
-        warnings.warn("all degree-1 coefficients are zero; neuron is degenerate")
-        return 0.0
-    qn = norm(nrn.w, p.q)
-    return (float(nrn.w @ chow.h_vec) - chow.h_empty * nrn.theta) / qn
+    h_vec = degree_one(chow, nrn.n)
+    return (float(nrn.w @ h_vec) - chow.h_empty * nrn.theta) / norm(nrn.w, p.q)
 
 
 def stabilized_weights(h_vec: np.ndarray, p: PNorm) -> np.ndarray:
@@ -158,22 +159,16 @@ def stabilize(
     weights, so no coefficient estimate is needed; zero weights stay zero
     (the coordinate is irrelevant and any sign gives the same objective).
     For p > 1 a ChowEstimate is required. The analytic robustness
-    ||h_vec||_p - h_empty*mu is reported whenever a ChowEstimate is given.
+    ||h_vec||_p - h_empty*mu is reported whenever a ChowEstimate is given,
+    whose h_vec degree_one checks.
     """
-    if chow is not None and chow.n != nrn.n:
-        raise DimensionError(f"chow dimension {chow.n} != neuron dimension {nrn.n}")
-    if p.p == 1.0:
-        w_star = np.sign(nrn.w)
-    else:
-        if chow is None:
+    if chow is None:
+        if p.p != 1.0:
             raise ValueError("p > 1 requires a ChowEstimate")
-        w_star = stabilized_weights(chow.h_vec, p)
-    analytic = None
-    if chow is not None:
-        if not np.any(chow.h_vec != 0.0):
-            raise DegenerateFunctionError("zero coefficient vector: function is constant")
-        analytic = norm(chow.h_vec, p.p) - chow.h_empty * mu
-    return StabilizationResult(w_star=w_star, mu=mu, p=p, analytic_robustness=analytic, chow=chow)
+        return StabilizationResult(w_star=np.sign(nrn.w), analytic_robustness=None)
+    h_vec = degree_one(chow, nrn.n)
+    w_star = np.sign(nrn.w) if p.p == 1.0 else stabilized_weights(h_vec, p)
+    return StabilizationResult(w_star=w_star, analytic_robustness=norm(h_vec, p.p) - chow.h_empty * mu)
 
 
 def alpha_mu(n: int, mu: float) -> float:
@@ -263,8 +258,3 @@ def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundR
         sigma=sigma,
         e_mu=e_mu,
     )
-
-
-def disagreement_exact(a, b, n: int) -> float:
-    """Exact Pr_x[a(x) != b(x)] by enumeration."""
-    return float(cube_mean(lambda X: np.count_nonzero(np.asarray(a(X)) != np.asarray(b(X))), n))

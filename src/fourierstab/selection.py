@@ -10,14 +10,14 @@ and only the accuracy side is adaptive.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFunctionError, DimensionError
+from .errors import DegenerateFunctionError
 from .fourier import ChowEstimate
 from .network import (
     BinaryMlp,
@@ -29,7 +29,7 @@ from .network import (
     stabilize_subset,
     unit_chow,
 )
-from .neuron import PNorm, norm
+from .neuron import PNorm, degree_one, norm
 
 
 @dataclass(frozen=True)
@@ -73,27 +73,25 @@ class SelectionTrace:
         return [step.index for step in self.steps]
 
     @property
+    def running_proxy(self) -> list[float]:
+        """0.0, then the steps' delta_r summed left to right in acceptance order."""
+        return list(itertools.accumulate((step.delta_r for step in self.steps), initial=0.0))
+
+    @property
     def proxy_total(self) -> float:
         """The steps' delta_r summed in acceptance order, as the trace CSV's cumulative column."""
-        total = 0.0
-        for step in self.steps:
-            total += step.delta_r
-        return total
+        return self.running_proxy[-1]
 
 
 def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
     """Proxy robustness gain ||h_vec||_p - (w/||w||_q).h_vec for unit j.
 
     Bias terms cancel between the stabilized and original analytic values.
-    Degenerate units contribute zero gain.
+    A degenerate unit raises DegenerateFunctionError.
     """
     ltf = first_layer_ltf(net, j)
-    if chow.n != net.n:
-        raise DimensionError(f"chow dimension {chow.n} != model dimension {net.n}")
-    if not np.any(chow.h_vec != 0.0):
-        warnings.warn(f"unit {j} has a zero coefficient vector; delta_r = 0")
-        return 0.0
-    return norm(chow.h_vec, p.p) - float(ltf.w @ chow.h_vec) / norm(ltf.w, p.q)
+    h_vec = degree_one(chow, net.n)
+    return norm(h_vec, p.p) - float(ltf.w @ h_vec) / norm(ltf.w, p.q)
 
 
 def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> tuple[np.ndarray, list[int]]:
@@ -106,13 +104,10 @@ def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> 
     eligible = []
     for j in range(net.t):
         try:
-            chow = unit_chow(net, j, cfg.chow_source)
-            if not np.any(chow.h_vec != 0.0):
-                raise DegenerateFunctionError("zero coefficient vector: function is constant")
+            gains[j] = delta_r(net, j, cfg.p, unit_chow(net, j, cfg.chow_source))
         except DegenerateFunctionError as exc:
             trace.warnings.append(f"unit {j} is degenerate ({exc}); delta_r = 0, left out")
             continue
-        gains[j] = delta_r(net, j, cfg.p, chow)
         eligible.append(j)
     return gains, eligible
 
@@ -260,9 +255,7 @@ def trace_to_csv(trace: SelectionTrace) -> list[str]:
     '# warning: ' line per warning, and a summary line of space-separated
     key=value tokens."""
     lines = ["index,delta_r,delta_a_raw,delta_a_clamped,accuracy_after,cumulative_proxy"]
-    cum = 0.0
-    for step in trace.steps:
-        cum += step.delta_r
+    for step, cum in zip(trace.steps, trace.running_proxy[1:]):
         values = (step.delta_r, step.delta_a_raw, step.delta_a_clamped, step.accuracy_after, cum)
         lines.append(f"{step.index},{fmt_vec(values)}")
     lines += [f"# warning: {w}" for w in trace.warnings]

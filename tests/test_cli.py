@@ -101,7 +101,7 @@ class TestGenData:
 
     def test_cell_cap_boundary(self, tmp_path, monkeypatch):
         # At n=10 and a cap of 100 cells, 10 examples and a teacher of width 10 fit; 11 do not.
-        monkeypatch.setattr(cli, "GEN_DATA_CELL_CAP", 100)
+        monkeypatch.setattr(cli, "CELL_CAP", 100)
         argv = ["gen-data", "--kind", "planted-mlp", "--n", 10, "--val", 1, "--test", 1]
         assert run(*argv, "--train", 9, "--out", tmp_path / "over") == EXIT_CAPACITY
         assert run(*argv, "--train", 2, "--teacher-width", 11, "--out", tmp_path / "wide") == EXIT_CAPACITY
@@ -162,7 +162,7 @@ class TestGenData:
         # At a cap of 3 columns and 12 cells, a 4x3 input fits; 4 columns, or 5 rows of 3,
         # do not, and are refused before fitting.
         monkeypatch.setattr(cli, "UNIFORMIZE_DIM_CAP", 3)
-        monkeypatch.setattr(cli, "GEN_DATA_CELL_CAP", 12)
+        monkeypatch.setattr(cli, "CELL_CAP", 12)
         fitted, fit = [], uniformize.fit
         monkeypatch.setattr(uniformize, "fit", lambda raw: fitted.append(raw) or fit(raw))
         rng = np.random.default_rng(0)
@@ -267,6 +267,21 @@ class TestTrainChowStabilize:
                    "--out", out) == EXIT_OK
         stab = load_model(out)
         assert list(np.nonzero(stab.stabilized_mask)[0]) == [0, 2]
+
+    @pytest.mark.parametrize("command", ["train", "adv-train"])
+    def test_width_cap_boundary(self, workspace, tmp_path, monkeypatch, capsys, command):
+        # The workspace data has n=8: at a cap of 40 cells a first layer of width 5
+        # fits and one of width 6 does not, refused before any training.
+        _, prefix, _ = workspace
+        monkeypatch.setattr(cli, "CELL_CAP", 40)
+        argv = [command, "--data", prefix, "--epochs", 1, *(["--at-epochs", 1] if command == "adv-train" else [])]
+        capsys.readouterr()
+        assert run(*argv, "--width", 6, "--out", tmp_path / "wide") == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "would draw 48 weights, over the cap of 40" in err and "Traceback" not in err
+        assert not (tmp_path / "wide").exists()
+        assert run(*argv, "--width", 5, "--out", tmp_path / "at") == EXIT_OK
+        assert load_model(tmp_path / "at").W1.shape == (5, 8)
 
 
 class TestSelectAttackEval:
@@ -638,23 +653,36 @@ class TestExitCodes:
         [("gen-data", "--out", "missing"), ("train", "--out", "missing"),
          ("select-model", "--out-model", "missing"), ("select-trace", "--out-trace", "missing"),
          ("train", "--out", "directory"), ("select-model", "--out-model", "directory"),
-         ("select-trace", "--out-trace", "directory")],
+         ("select-trace", "--out-trace", "directory"), ("gen-data", "--out", "p.validation.csv"),
+         ("gen-data-uniformize", "--out", "p.covmodel.txt")],
         ids=["gen-data---out", "train---out", "select-model---out-model", "select-trace---out-trace",
-             "train-into-directory", "select-model-into-directory", "select-trace-into-directory"],
+             "train-into-directory", "select-model-into-directory", "select-trace-into-directory",
+             "gen-data-split-into-directory", "gen-data-uniformize-covmodel-into-directory"],
     )
     def test_missing_output_directory_is_param_error(self, workspace, tmp_path, capsys, monkeypatch,
                                                      command, flag, target):
         # An output in a missing directory, or one that is a directory, is refused
-        # before any input is loaded or any model trained, and nothing is written.
+        # before any input is loaded or any model trained, and nothing is written;
+        # for gen-data, whose --out is a prefix, that holds for each file it names.
         _, prefix, model = workspace
         out = tmp_path / "out"
         out.mkdir()
-        missing = out / "nodir" / "o" if target == "missing" else out
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, np.eye(3), delimiter=",")
+        if target == "missing":
+            missing, blocked = out / "nodir" / "o", None
+        elif target == "directory":
+            missing = blocked = out
+        else:
+            missing, blocked = out / "p", out / target
+            blocked.mkdir()
         work = []
         for name in ("load_dataset", "load_model", "train_sgd"):
             monkeypatch.setattr(cli, name, lambda *a, **k: work.append(a))
+        monkeypatch.setattr(uniformize, "fit", lambda *a, **k: work.append(a))
         argv = {
             "gen-data": ["gen-data", "--kind", "planted-ltf", "--out", missing],
+            "gen-data-uniformize": ["gen-data", "--kind", "uniformize", "--input", raw, "--out", missing],
             "train": ["train", "--data", prefix, "--out", missing],
             "select-model": ["select", "--model", model, "--data", prefix, "--beta", 0.0,
                              "--out-model", missing, "--out-trace", out / "t"],
@@ -665,9 +693,9 @@ class TestExitCodes:
             run(*argv)
         assert exc.value.code == EXIT_PARAMS
         err = capsys.readouterr().err
-        reason = "no writable directory" if target == "missing" else f"is a directory: '{out}'"
+        reason = "no writable directory" if blocked is None else f"is a directory: '{blocked}'"
         assert f"argument {flag}: {reason}" in err and "Traceback" not in err
-        assert work == [] and list(out.iterdir()) == []
+        assert work == [] and list(out.iterdir()) == ([] if blocked in (None, out) else [blocked])
 
     def test_degenerate_error(self, tmp_path):
         # A constant unit has a zero coefficient vector; the p=2 bound report

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from conftest import constant, dictator, majority3, random_ltf
 from fourierstab.errors import DegenerateFunctionError, DimensionError
 from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube
+from fourierstab.network import Activation, BinaryMlp, fresh_mask
 from fourierstab.neuron import (
     C0,
     C1,
@@ -24,6 +25,7 @@ from fourierstab.neuron import (
     sign_pm1,
     stabilize,
 )
+from fourierstab.selection import delta_r
 
 MAJ3 = LinearThresholdNeuron(np.array([1.0, 1.0, 1.0]), 0.0)
 
@@ -140,8 +142,8 @@ class TestRobustness:
     def test_degenerate_flagged(self):
         nrn = LinearThresholdNeuron(np.array([0.25]), 2.0)  # constant -1
         est = chow_exact(nrn.handle(), 1)
-        with pytest.warns(UserWarning):
-            assert robustness_analytic(est, nrn, PNorm(1.0)) == 0.0
+        with pytest.raises(DegenerateFunctionError, match="zero coefficient vector"):
+            robustness_analytic(est, nrn, PNorm(1.0))
 
     def test_analytic_equals_exact_unbiased(self, rng):
         # At theta = 0 the mean distance equals the coefficient-side sum.
@@ -153,6 +155,36 @@ class TestRobustness:
                 assert robustness_analytic(est, nrn, PNorm(p)) == pytest.approx(
                     robustness_exact(nrn, PNorm(p)), abs=1e-12
                 )
+
+
+def _single_unit_delta_r(nrn, chow):
+    net = BinaryMlp(nrn.w[None, :], np.array([-nrn.theta]), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1))
+    return delta_r(net, 0, PNorm(2.0), chow)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nrn, chow: stabilize(nrn, PNorm(1.0), chow, mu=0.0),
+        lambda nrn, chow: stabilize(nrn, PNorm(2.0), chow, mu=0.0),
+        lambda nrn, chow: robustness_analytic(chow, nrn, PNorm(2.0)),
+        _single_unit_delta_r,
+    ],
+    ids=["stabilize-p1", "stabilize-p2", "robustness_analytic", "delta_r"],
+)
+@pytest.mark.parametrize(
+    "chow, error",
+    [
+        (ChowEstimate(2, 0.5, np.zeros(2), "exact"), DegenerateFunctionError),
+        (ChowEstimate(3, 0.0, np.full(3, 0.5), "exact"), DimensionError),
+    ],
+    ids=["zero-h_vec", "wrong-n"],
+)
+def test_unit_coefficient_rule(call, chow, error):
+    # Every function that reads a unit's degree-1 coefficients refuses a vector
+    # of the wrong length and a zero one, whose unit is constant.
+    with pytest.raises(error):
+        call(LinearThresholdNeuron(np.array([1.0, 0.5]), 0.0), chow)
 
 
 class TestSignAgreement:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fourierstab.errors import DegenerateFunctionError
 from fourierstab.fourier import ChowEstimate, ExactChow, chow_exact
 from fourierstab.network import (
     Activation,
@@ -75,10 +76,12 @@ class TestDeltaR:
         assert delta_r(net, 0, PNorm(1.0), chow) == pytest.approx(0.1, abs=1e-12)
 
     def test_degenerate_unit_zero_with_warning(self):
+        # delta_r raises; selection turns that into the trace warning
+        # (test_degenerate_unit_is_left_out_with_warning).
         net = single_unit_net([0.25], theta=2.0)  # constant -1
         chow = chow_exact(first_layer_ltf(net, 0).handle(), 1)
-        with pytest.warns(UserWarning):
-            assert delta_r(net, 0, PNorm(1.0), chow) == 0.0
+        with pytest.raises(DegenerateFunctionError, match="zero coefficient vector"):
+            delta_r(net, 0, PNorm(1.0), chow)
 
     def test_nonnegative_with_exact_chow(self, rng):
         net, _ = trained_net(rng)
