@@ -44,6 +44,8 @@ from .network import (
     fresh_mask,
     load_dataset,
     load_model,
+    read_lines,
+    read_table,
     save_dataset,
     save_model,
     stabilize_subset,
@@ -72,14 +74,13 @@ _EXIT_CODES = (
     (ValueError, EXIT_PARAMS),
 )
 
-# gen-data refuses to draw more matrix cells than this (examples x n, or
-# teacher_width x n), or to uniformize a larger input (rows x d): load_dataset
-# makes a Python float of every cell. train refuses a wider first layer (width x n).
+# The largest float64 matrix a command builds from its flags or input: 2^24
+# cells, 128 MiB. gen-data refuses to draw more (examples x n, or teacher_width
+# x n) and to uniformize an input of more rows x d or d x d; train refuses a
+# wider first layer (width x n). At the uniformize bound, d = m = 4096 on a
+# 2-core Xeon with BLAS on 1 thread, fit took 1.7 s for the covariance, 14.7 s
+# for eigh and 2.1 s for the projection, in a process that peaked near 1 GB.
 CELL_CAP = 1 << 24
-
-# gen-data --kind uniformize refuses more input columns d than this: on a 2-core
-# Xeon, jacobi_eigh took 0.04 s at d=24, 0.26 s at d=48, 0.89 s at d=64, 4.7 s at d=96.
-UNIFORMIZE_DIM_CAP = 64
 
 
 # The output flags. With the dispatch entries they are not configuration, so
@@ -128,13 +129,17 @@ def _number(convert=float, lo=-math.inf, hi=math.inf, lo_open=False, hi_open=Fal
     return number
 
 
-def _numbers(text: str) -> str:
-    """argparse type of a comma-separated list of finite numbers, kept as given
-    so the config header records it unchanged."""
-    number = _number()
-    for part in text.split(",") if text else ():
-        number(part)
-    return text
+def _numbers(convert=float, word=None):
+    """argparse type of comma-separated finite numbers read by convert, or of word
+    alone, kept as given so the config header records it unchanged."""
+    number = _number(convert)
+
+    def numbers(text: str) -> str:
+        for part in text.split(",") if text != word else ():
+            number(part)
+        return text
+
+    return numbers
 
 
 def _p_norm(text: str) -> str:
@@ -204,23 +209,22 @@ def cmd_gen_data(args) -> None:
 
 
 def _gen_data_uniformize(args) -> None:
-    raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    if raw.shape[1] > UNIFORMIZE_DIM_CAP or raw.size > CELL_CAP:
-        raise CapacityError(f"uniformize input is {raw.shape[0]}x{raw.shape[1]}, over the cap of "
-                            f"{UNIFORMIZE_DIM_CAP} columns or {CELL_CAP} cells")
-    if args.labels:
-        labels = np.loadtxt(args.labels, ndmin=1)
-        if labels.shape[0] != raw.shape[0]:
-            raise DimensionError("label count does not match input rows")
-    else:
-        labels = np.ones(raw.shape[0])
+    if args.input is None:
+        raise ValueError("argument --input: required with --kind uniformize")
+    raw = read_table(args.input, read_lines(args.input), comments="#")
+    m, d = raw.shape
+    if max(m, d) * d > CELL_CAP:
+        raise CapacityError(f"uniformize input is {m}x{d}, over the cap of {CELL_CAP} cells in rows x d or d x d")
+    labels = read_table(args.labels, read_lines(args.labels), None, "#") if args.labels else np.ones((m, 1))
+    if labels.shape != (m, 1):
+        raise DimensionError(f"{args.labels}: {labels.shape[0]}x{labels.shape[1]} labels for {m} input rows")
     model = uniformize.fit(raw)
     model.validate()
     bits = uniformize.binarize(model, raw)
     (_, path), (_, cov_path) = _output_paths(args)
-    save_dataset(LabeledDataset(bits, sign_pm1(labels), split="train"), path, _config_header(args))
+    save_dataset(LabeledDataset(bits, sign_pm1(labels[:, 0]), split="train"), path, _config_header(args))
     uniformize.save_covariance_model(model, cov_path)
-    print(f"wrote {path} and {cov_path} (d={model.d}, m={raw.shape[0]})")
+    print(f"wrote {path} and {cov_path} (d={model.d}, m={m})")
 
 
 # --- training ----------------------------------------------------------------
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stabilize", help="replace unit weights by stabilized analogs")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--units", default="all", help="'all' or comma-separated indices")
+    sp.add_argument("--units", type=_numbers(int, "all"), default="all", help="'all' or comma-separated indices")
     sp.add_argument("--p", type=_p_norm, default="1")
     sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
     _add_chow_flags(sp)
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilons", type=_numbers, required=True, help="comma-separated l1 budgets")
+    sp.add_argument("--epsilons", type=_numbers(), required=True, help="comma-separated l1 budgets")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_eval)
 
@@ -432,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--unit", type=int, required=True)
     sp.add_argument("--p", type=_p_norm, default="1")
-    sp.add_argument("--mus", type=_numbers, default="", help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
+    sp.add_argument("--mus", type=_numbers(float, ""), default="",
+                    help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_bounds)

@@ -128,9 +128,10 @@ def mc_sample_count(n: int, epsilon: float, delta: float) -> int | float:
     """Hoeffding sample size with a union bound over the n+1 coefficients.
 
     math.inf when the size is too large for a float, as when epsilon**2
-    underflows to 0 (epsilon below about 1e-162).
+    underflows to 0 (epsilon below about 1e-162). An estimate is always within
+    2 of a coefficient, so epsilon above 2 counts as 2 (and cannot overflow).
     """
-    two_eps_sq = 2.0 * epsilon**2
+    two_eps_sq = 2.0 * min(epsilon, 2.0) ** 2
     m = math.log(2.0 * (n + 1) / delta) / two_eps_sq if two_eps_sq else math.inf
     return math.ceil(m) if m < math.inf else math.inf
 

@@ -41,7 +41,8 @@ class Activation(enum.Enum):
         if self is Activation.LOGISTIC:
             # 1 / (1 + exp(-z)), one operation at a time in one buffer.
             out = np.negative(z, out=out)
-            np.exp(out, out=out)
+            with np.errstate(over="ignore"):  # exp(-z) = inf where the logistic rounds to 0
+                np.exp(out, out=out)
             out += 1.0
             return np.divide(1.0, out, out=out)
         if self is Activation.TANH:
@@ -170,8 +171,8 @@ class TrainConfig:
 
 
 def _logistic_loss_grad(margin: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d/d margin of log(1 + exp(-y*margin))."""
-    return -y / (1.0 + np.exp(y * margin))
+    """d/d margin of log(1 + exp(-y*margin)), -y * logistic(-y*margin) for y = +-1."""
+    return -y * Activation.LOGISTIC.apply(-y * margin)
 
 
 def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp:
@@ -332,6 +333,21 @@ def read_lines(path):
         raise SchemaError(f"{path}: not a text file ({exc})") from exc
 
 
+def read_table(path, lines: Iterable[str], delimiter: Optional[str] = ",", comments: Optional[str] = None):
+    """The numbers in lines, the text of path, as an (m, k) matrix by np.loadtxt, skipping blank and
+    comment lines; no rows, a ragged row or a cell that is not a number raises SchemaError."""
+    rows = (ln for ln in lines if ln.strip() and not (comments and ln.lstrip().startswith(comments)))
+    first = next(rows, None)
+    if first is None:  # checked here, or np.loadtxt warns and returns an empty array
+        raise SchemaError(f"{path}: no rows of numbers")
+    try:
+        return np.loadtxt(itertools.chain([first], rows), delimiter=delimiter, comments=comments, ndmin=2)
+    except SchemaError:  # read_lines' own, for bytes that are not text; it names path already
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def read_document(path, tag: str) -> dict:
     """The fields of a document written by write_document with this tag."""
     lines = list(read_lines(path))
@@ -382,23 +398,11 @@ def load_dataset(path, split: str = "train") -> LabeledDataset:
         n = int(header[2:])
     except ValueError as exc:
         raise SchemaError(f"{path}: bad header {header!r}") from exc
-    rows, labels = [], []
-    for lineno, ln in enumerate(lines, start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
-        cells = ln.split(",")
-        if len(cells) != n + 1:
-            raise SchemaError(f"{path}:{lineno}: expected {n + 1} columns, got {len(cells)}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: non-numeric cell") from exc
-        rows.append(vals[:n])
-        labels.append(vals[n])
-    if not rows:
-        raise SchemaError(f"{path}: dataset has no examples")
+    table = read_table(path, lines)
+    if table.shape[1] != n + 1:
+        raise SchemaError(f"{path}: expected {n + 1} columns, got {table.shape[1]}")
     try:
-        return LabeledDataset(np.array(rows), np.array(labels), split=split)
+        # Contiguous copies: a column slice is a strided view, and BLAS results can depend on layout.
+        return LabeledDataset(np.ascontiguousarray(table[:, :n]), np.ascontiguousarray(table[:, n]), split=split)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc

@@ -46,11 +46,14 @@ class PNorm:
 
 
 def norm(v: np.ndarray, p: float) -> float:
-    """lp norm, handling p = inf."""
-    v = np.asarray(v, dtype=np.float64)
-    if math.isinf(p):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    """lp norm, handling p = inf. Where max|v_i|**p leaves the float range (the sum would underflow
+    to 0 or overflow), it is max|v_i| times the norm of v / max|v_i|."""
+    v = np.abs(np.asarray(v, dtype=np.float64))
+    top = float(np.max(v)) if v.size else 0.0
+    if math.isinf(p) or top == 0.0:
+        return top
+    scale = 1.0 if abs(p * math.log2(top)) < 900.0 else top
+    return scale * float(np.sum((v / scale) ** p) ** (1.0 / p))
 
 
 def sign_pm1(z: np.ndarray) -> np.ndarray:
@@ -245,6 +248,8 @@ def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundR
     eps = float(np.max(np.abs(w_star))) / sigma
     e_mu = folded_gaussian_mean(mu)
     denom = norm(np.abs(chow.h_vec) ** (p.p - 1.0), 2.0)
+    if denom == 0.0:
+        raise ValueError(f"p={p.p:g} is too large for the bound: |h_i|^(p-1) underflows to 0")
     gamma = abs(norm(chow.h_vec, p.p) ** p.p / denom - chow.h_empty * mu - e_mu)
     bound = 1.5 * (
         C0 * eps + math.sqrt((C0 * eps) ** 2 + math.sqrt(2.0 / math.pi) * (gamma + RHO * eps))

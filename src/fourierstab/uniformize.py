@@ -1,9 +1,8 @@
 """Decorrelate approximately Gaussian real features and binarize them into
 near-uniform +-1 vectors.
 
-The eigendecomposition is a self-contained cyclic Jacobi sweep: dimensions
-are small, and a fixed rotation schedule keeps the factorization bit-for-bit
-reproducible across platforms.
+The eigendecomposition is numpy's eigh in a fixed order and sign; through LAPACK and
+BLAS, its bytes are reproducible on one machine and BLAS build, not across CPU kernels.
 """
 
 from __future__ import annotations
@@ -17,45 +16,19 @@ from .network import floats, fmt_vec, read_document, write_document
 
 
 def jacobi_eigh(C: np.ndarray):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations,
-    at most 100 sweeps, until the off-diagonal norm is at most 1e-12.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and each eigenvector's largest-magnitude entry made positive.
-    """
-    A = np.array(C, dtype=np.float64)
-    d = A.shape[0]
-    if A.shape != (d, d):
+    """(eigenvalues, eigenvectors) of a finite symmetric matrix by np.linalg.eigh,
+    eigenvalues descending and each eigenvector's largest-magnitude entry positive.
+    A non-finite matrix raises ValueError, where eigh would return NaN eigenvalues."""
+    A = np.asarray(C, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError("matrix must be square")
-    V = np.eye(d)
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= 1e-12:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                # Classical Jacobi rotation annihilating A[p, q].
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    eigvals = np.diag(A).copy()
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
+    eigvals, V = np.linalg.eigh(A)
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    V = V[:, order]
-    for j in range(d):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0:
-            V[:, j] = -V[:, j]
+    eigvals, V = eigvals[order], V[:, order]
+    largest = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    V[:, largest < 0] *= -1.0
     return eigvals, V
 
 
@@ -68,21 +41,25 @@ class CovarianceModel:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "C", "U", "D", "thresholds"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        d = np.size(self.mean)
+        for name, shape in (("mean", (d,)), ("C", (d, d)), ("U", (d, d)), ("D", (d,)), ("thresholds", (d,))):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite value in {name}")
+            object.__setattr__(self, name, a)
 
     @property
     def d(self) -> int:
         return self.mean.size
 
     def validate(self) -> None:
-        """Assert the symmetry/orthogonality/reconstruction invariants."""
-        d = self.d
-        if self.C.shape != (d, d) or self.U.shape != (d, d):
-            raise DimensionError("inconsistent model shapes")
+        """Check the symmetry, orthogonality and reconstruction invariants;
+        the shapes and finiteness are checked on construction."""
         if not np.allclose(self.C, self.C.T, atol=1e-9):
             raise ValueError("covariance is not symmetric")
-        if not np.allclose(self.U.T @ self.U, np.eye(d), atol=1e-9):
+        if not np.allclose(self.U.T @ self.U, np.eye(self.d), atol=1e-9):
             raise ValueError("eigenvector matrix is not orthogonal")
         recon = self.U @ np.diag(self.D) @ self.U.T
         scale = max(1.0, float(np.max(np.abs(self.C))))
@@ -143,8 +120,8 @@ def load_covariance_model(path) -> CovarianceModel:
     try:
         mean, D, thresholds = (floats(kv[k]) for k in ("mean", "D", "thresholds"))
         U = np.array([floats(kv[f"U.{j}"]) for j in range(int(kv["d"]))])
+        with np.errstate(all="ignore"):  # the model refuses a non-finite product
+            C = U @ np.diag(D) @ U.T
+        return CovarianceModel(mean=mean, C=C, U=U, D=D, thresholds=thresholds)
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed covariance model ({exc})") from exc
-    if not all(np.isfinite(a).all() for a in (mean, D, thresholds, U)):
-        raise SchemaError(f"{path}: non-finite value in covariance model")
-    return CovarianceModel(mean=mean, C=U @ np.diag(D) @ U.T, U=U, D=D, thresholds=thresholds)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import math
 import re
 import shlex
@@ -6,10 +8,10 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from fourierstab import cli, uniformize
+from fourierstab import cli, fourier, uniformize
 from fourierstab.cli import (
     EXIT_CAPACITY,
     EXIT_DEGENERATE,
@@ -159,21 +161,59 @@ class TestGenData:
         model.validate()
 
     def test_uniformize_caps(self, tmp_path, monkeypatch, capsys):
-        # At a cap of 3 columns and 12 cells, a 4x3 input fits; 4 columns, or 5 rows of 3,
-        # do not, and are refused before fitting.
-        monkeypatch.setattr(cli, "UNIFORMIZE_DIM_CAP", 3)
+        # At a cap of 12 cells, a 4x3 input fits and so does 2x3; 4x4 and 5x3 have more
+        # rows x d, and 2x4 more d x d, and are refused before fitting.
         monkeypatch.setattr(cli, "CELL_CAP", 12)
         fitted, fit = [], uniformize.fit
         monkeypatch.setattr(uniformize, "fit", lambda raw: fitted.append(raw) or fit(raw))
         rng = np.random.default_rng(0)
-        for rows, d, code in ((4, 4, EXIT_CAPACITY), (5, 3, EXIT_CAPACITY), (4, 3, EXIT_OK)):
+        cases = ((4, 4, EXIT_CAPACITY), (5, 3, EXIT_CAPACITY), (4, 3, EXIT_OK), (2, 4, EXIT_CAPACITY), (2, 3, EXIT_OK))
+        for rows, d, code in cases:
             raw = tmp_path / f"raw{rows}x{d}.csv"
             np.savetxt(raw, rng.normal(size=(rows, d)), delimiter=",")
             assert run("gen-data", "--kind", "uniformize", "--input", raw, "--out", tmp_path / "u") == code
         err = capsys.readouterr().err
-        assert err.count("over the cap of 3 columns or 12 cells") == 2
-        assert "input is 4x4," in err and "input is 5x3," in err
-        assert [a.shape for a in fitted] == [(4, 3)]
+        assert err.count("over the cap of 12 cells") == 3
+        assert "input is 4x4," in err and "input is 5x3," in err and "input is 2x4," in err
+        assert [a.shape for a in fitted] == [(4, 3), (2, 3)]
+
+    @pytest.mark.parametrize("flag", ["--input", "--labels"])
+    @pytest.mark.parametrize(
+        "bad",
+        [b"", b"\n \n", b"# nothing\n", b"1,2\nx,3\n4,5\n", b"1,2\n\xff,3\n4,5\n", b"1,2\n3\n4,5\n"],
+        ids=["empty", "blank", "comment-only", "non-numeric", "non-utf8", "ragged"],
+    )
+    def test_malformed_uniformize_input_is_schema_error(self, tmp_path, capsys, flag, bad):
+        # The input-file rule: exit 4 naming the file, with no warning and nothing written.
+        raw, labels = tmp_path / "raw.csv", tmp_path / "labels.txt"
+        raw.write_bytes(b"1,2\n3,-1\n4,5\n")
+        labels.write_bytes(b"1\n-1\n1\n")
+        target = raw if flag == "--input" else labels
+        target.write_bytes(bad if flag == "--input" else bad.replace(b",", b" "))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", labels, "--out", out / "u")
+        err = capsys.readouterr().err
+        assert code == EXIT_SCHEMA and f"error: {target}:" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [b"1\n-1\n", b"1 1\n-1 1\n1 1\n", b"1 -1 1\n"],
+                             ids=["too-few", "two-columns", "one-line"])
+    def test_uniformize_needs_one_label_per_row(self, tmp_path, capsys, labels):
+        raw, path = tmp_path / "raw.csv", tmp_path / "labels.txt"
+        raw.write_bytes(b"1,2\n3,-1\n4,5\n")
+        path.write_bytes(labels)
+        assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", path,
+                   "--out", tmp_path / "u") == EXIT_DIMENSION
+        assert "labels for 3 input rows" in capsys.readouterr().err
+        assert not (tmp_path / "u.train.csv").exists()
+
+    def test_uniformize_without_input_is_param_error(self, tmp_path, capsys):
+        assert run("gen-data", "--kind", "uniformize", "--out", tmp_path / "u") == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert "argument --input: required with --kind uniformize" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_uniformize_header_records_labels(self, tmp_path, rng):
         raw, labels = tmp_path / "raw.csv", tmp_path / "labels.txt"
@@ -621,6 +661,35 @@ class TestExitCodes:
         assert re.search(r"\b_\w", err) is None  # no Python name such as _number
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["eval", "--epsilons", ""], "--epsilons"),
+            (["stabilize", "--units", ""], "--units"),
+            (["stabilize", "--units", "1,,2"], "--units"),
+            (["stabilize", "--units", "0,1.5"], "--units"),
+        ],
+        ids=["epsilons-empty", "units-empty", "units-empty-item", "units-fraction"],
+    )
+    def test_list_flag_is_checked_at_parse_time(self, workspace, tmp_path, capsys, monkeypatch, argv, flag):
+        # Each item must be a number before the model is loaded; the config header keeps the list as given.
+        _, prefix, model = workspace
+        loaded = []
+        monkeypatch.setattr(cli, "load_model", lambda *a: loaded.append(a))
+        data = ["--data", prefix] if argv[0] == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--model", model, *data, "--out", tmp_path / "o")
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not a number: " in err and "Traceback" not in err
+        assert loaded == [] and not (tmp_path / "o").exists()
+
+    def test_unit_index_out_of_range_is_dimension_error(self, workspace, tmp_path, capsys):
+        # --units is checked for integers at parse time, and for their range by the library.
+        _, _, model = workspace
+        assert run("stabilize", "--model", model, "--units", "0,6", "--out", tmp_path / "o") == EXIT_DIMENSION
+        assert "unit index 6 out of range for width 6" in capsys.readouterr().err
+
     def test_zero_row_unit(self, workspace, tmp_path, capsys):
         # select leaves the unit out with a warning; chow and bounds refuse it as degenerate.
         _, prefix, model = workspace
@@ -808,3 +877,89 @@ def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
 def test_config_header_quotes_values_with_quotes_and_backslashes(workspace, tmp_path, name):
     _, prefix, _ = workspace
     _header_round_trip(prefix, tmp_path, tmp_path / name / "d")
+
+
+# --- every numeric flag at extreme values ------------------------------------
+
+def _numeric_flags() -> dict:
+    """command -> the flags whose text the parser converts (numbers and number lists)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(a.option_strings[0] for a in sp._actions if a.type is not None)
+            for name, sp in sub.choices.items()}
+
+
+_NUMERIC_FLAGS = _numeric_flags()
+# 0, negative, NaN, +-inf, huge and ordinary values, in the spellings a user might type.
+_EXTREME_VALUES = st.one_of(
+    st.integers(1, 8).map(str),
+    st.floats(0.01, 4.0).map(repr),
+    st.sampled_from(["0", "-0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "5e-324", str(10**30),
+                     "1.0000001", "5000", "0,2", ""]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+# Each adds run time in proportion to its value and no memory, so no cap bounds it.
+_RUN_LENGTH_FLAGS = ("--epochs", "--at-epochs")
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARAMS, EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_DIMENSION, EXIT_CAPACITY,
+                     EXIT_DEGENERATE}
+
+
+@pytest.fixture(scope="module")
+def small_workspace(tmp_path_factory):
+    """A planted-LTF dataset at n=6 and a width-3 model trained on it."""
+    root = tmp_path_factory.mktemp("numeric-flags")
+    prefix, model = root / "d", root / "m.txt"
+    assert run("gen-data", "--kind", "planted-ltf", "--n", 6, "--train", 40, "--val", 20, "--test", 20,
+               "--out", prefix) == EXIT_OK
+    assert run("train", "--data", prefix, "--width", 3, "--epochs", 2, "--out", model) == EXIT_OK
+    return prefix, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(_NUMERIC_FLAGS)), data=st.data())
+def test_numeric_flags_exit_with_a_documented_code(small_workspace, tmp_path_factory, command, data):
+    prefix, model = small_workspace
+    flags = data.draw(st.lists(st.sampled_from(_NUMERIC_FLAGS[command]), min_size=1, max_size=2))
+    values = [data.draw(_EXTREME_VALUES, label=flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if flag in _RUN_LENGTH_FLAGS:
+            assume(not value.lstrip("-").isdigit() or int(value) <= 50)
+    out = tmp_path_factory.mktemp("out")
+    base = {
+        "gen-data": ["--kind", data.draw(st.sampled_from(["planted-ltf", "planted-mlp", "noisy-majority"])),
+                     "--n", "4", "--train", "20", "--val", "10", "--test", "10"],
+        "train": ["--data", prefix, "--width", "3", "--epochs", "1"],
+        "adv-train": ["--data", prefix, "--width", "3", "--at-epochs", "1"],
+        "chow": ["--model", model, "--unit", "0"],
+        "stabilize": ["--model", model],
+        "select": ["--model", model, "--data", prefix, "--beta", "0",
+                   "--algorithm", data.draw(st.sampled_from(["gmb", "gmbc", "gmb-fast"]))],
+        "attack": ["--model", model, "--data", prefix, "--epsilon", "2"],
+        "eval": ["--model", model, "--data", prefix, "--epsilons", "0,2"],
+        "bounds": ["--model", model, "--unit", "0", "--p", "2"],
+    }[command]
+    if "--chow-epsilon" in _NUMERIC_FLAGS[command]:
+        base += ["--chow-mode", data.draw(st.sampled_from(["exact", "mc"]))]
+    outputs = ["--out-model", out / "m", "--out-trace", out / "t"] if command == "select" else ["--out", out / "o"]
+    argv = [command, *base, *(f"{flag}={value}" for flag, value in zip(flags, values)), *outputs]
+    stderr = io.StringIO()
+    # Caps at sizes this test can afford to reach: a huge value trips one before any work.
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "CELL_CAP", 1 << 12)
+        mp.setattr(fourier, "MC_SAMPLE_CAP", 1 << 14)
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{command} exit {code}")
+    assert code in _DOCUMENTED_EXITS and "Traceback" not in stderr.getvalue()
+    if code != EXIT_OK:
+        return
+    if command == "gen-data":
+        for split in ("train", "validation", "test"):
+            load_dataset(f"{out / 'o'}.{split}.csv", split=split)
+    elif command in ("train", "adv-train", "stabilize", "select"):
+        load_model(out / ("m" if command == "select" else "o"))
+    for path in out.iterdir():
+        assert first_line(path).startswith(f"# config: cmd={command} ")

@@ -136,6 +136,8 @@ class TestChowMc:
         assert mc_sample_count(3, 1e-9, 0.01) > MC_SAMPLE_CAP == 1 << 22
         # Below about 1e-162 epsilon**2 underflows; the count is then infinite.
         assert mc_sample_count(3, 1e-200, 0.01) == math.inf
+        # Above about 1e154 it overflows; one sample meets the bound, as it does at 7.
+        assert mc_sample_count(3, 1e300, 0.01) == mc_sample_count(3, 7.0, 0.01) == 1
         for eps in (1e-9, 1e-150, 1e-160, 1e-200, 5e-324):
             with pytest.raises(CapacityError) as exc:
                 chow_mc(f, 3, eps, 0.01, seed=0)

@@ -16,6 +16,7 @@ from fourierstab.network import (
     BinaryMlp,
     LabeledDataset,
     TrainConfig,
+    _logistic_loss_grad,
     accuracy,
     first_layer_ltf,
     fresh_mask,
@@ -107,6 +108,13 @@ class TestActivation:
             num = (a.apply(z + eps) - a.apply(z - eps)) / (2 * eps)
             ana = a.derivative(a.apply(z))
             np.testing.assert_allclose(ana, num, atol=1e-6)
+
+    def test_logistic_saturates_without_warning(self):
+        # exp(1000) overflows to inf, and 1 / (1 + inf) is the logistic's rounded value 0;
+        # tier-1 turns a RuntimeWarning into an error.
+        z = np.array([-1000.0, 0.0, 1000.0])
+        np.testing.assert_array_equal(Activation.LOGISTIC.apply(z), [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(_logistic_loss_grad(z, np.ones(3)), [-1.0, -0.5, -0.0])
 
 
 def apply_reference(act, z):
@@ -465,6 +473,13 @@ def binary_mlps(draw):
     )
 
 
+@st.composite
+def pm1_datasets(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pm1 = lambda size: np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
+    return LabeledDataset(pm1(m * n).reshape(m, n), pm1(m))
+
+
 class TestSerializationProperties:
     @settings(max_examples=60, deadline=None)
     @given(net=binary_mlps(), header=_HEADERS)
@@ -494,3 +509,25 @@ class TestSerializationProperties:
             return
         assert all(np.isfinite(a).all() for a in (back.W1, back.b1, back.W2)) and math.isfinite(back.b2)
         assert back.b1.shape == back.W2.shape == back.stabilized_mask.shape == (back.t,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=pm1_datasets(), header=_HEADERS, data=st.data())
+    def test_corrupted_dataset_loads_valid_or_is_schema_error(self, tmp_path_factory, ds, header, data):
+        path = tmp_path_factory.getbasetemp() / "corrupted.csv"
+        save_dataset(ds, path, header)
+        back = load_dataset(path)
+        assert back.X.tobytes() == ds.X.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert back.X.flags.c_contiguous and back.y.flags.c_contiguous
+        text = path.read_text()
+        # One cell, or one whole line (the header lines included), gets a token or a non-UTF-8 byte.
+        spans = [m.span() for pattern in (r"[^,\n]+", r"(?m)^.*$") for m in re.finditer(pattern, text)]
+        start, stop = data.draw(st.sampled_from(spans))
+        path.write_text(text[:start] + data.draw(st.one_of(_TOKENS, st.just("\udcff"))) + text[stop:],
+                        errors="surrogateescape")
+        try:
+            back = load_dataset(path)
+        except SchemaError:
+            return
+        assert back.X.ndim == 2 and back.y.shape == (back.m,)
+        assert np.all(np.abs(back.X) == 1.0) and np.all(np.abs(back.y) == 1.0)
+        assert back.X.flags.c_contiguous and back.y.flags.c_contiguous

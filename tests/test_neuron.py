@@ -76,6 +76,24 @@ class TestPNorm:
             PNorm(0.5)
 
 
+class TestNorm:
+    def test_plain_sum_where_it_is_exact(self, rng):
+        # Where |v_i| ** p stays in the normal float range, the norm is the plain sum's root.
+        for p in (1.0, 1.5, 2.0, 3.0, 17.0):
+            v = rng.normal(size=12) * 10.0 ** rng.uniform(-5, 5)
+            assert norm(v, p) == float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("v, p, expected", [
+        ([0.5, -0.25], 1e7, 0.5),      # the plain sum underflows to 0
+        ([3.0, -4.0], 1e7, 4.0),       # the plain sum overflows to inf
+        ([1e-200, 1e-200], 2.0, math.sqrt(2.0) * 1e-200),
+        ([1e200, -1e200], 2.0, math.sqrt(2.0) * 1e200),
+        ([0.0, 0.0], 1e300, 0.0),
+    ])
+    def test_extreme_exponents_and_magnitudes(self, v, p, expected):
+        assert norm(np.array(v), p) == pytest.approx(expected, rel=1e-12)
+
+
 class TestLinearThresholdNeuron:
     @pytest.mark.parametrize(
         "w, theta", [([math.nan, 1.0], 0.0), ([1.0, 1.0], math.inf)], ids=["nan-w", "inf-theta"]
@@ -407,6 +425,14 @@ class TestAccuracyBoundLp:
         expected = abs(math.sqrt(n) * c - h0 * mu - folded_gaussian_mean(mu))
         assert rep.gamma == pytest.approx(expected, abs=1e-12)
         assert rep.epsilon_be == pytest.approx(1.0 / math.sqrt(n), abs=1e-12)
+
+    def test_underflowing_terms_are_refused(self):
+        # |h_i| ** (p-1) is 0 for every i at p = 5000; the report would divide by it.
+        chow = ChowEstimate(3, 0.0, np.array([0.5, -0.25, 0.25]), "exact")
+        with pytest.raises(ValueError, match="too large"):
+            accuracy_bound_lp(chow, PNorm(5000.0), 0.0)
+        assert accuracy_bound_lp(chow, PNorm(500.0), 0.0).gamma == pytest.approx(
+            abs(0.5 - folded_gaussian_mean(0.0)), rel=1e-9)
 
     def test_soundness_p2(self, rng):
         for _ in range(100):

@@ -59,6 +59,14 @@ class TestJacobi:
         with pytest.raises(DimensionError):
             jacobi_eigh(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # np.linalg.eigh itself returns NaN eigenvalues for such a matrix.
+        C = np.eye(3)
+        C[0, 1] = C[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigh(C)
+
 
 class TestFit:
     def test_standard_gaussian(self, rng):
@@ -212,6 +220,34 @@ class TestSerialization:
         path.write_text("\n".join("D=nan,1,1" if ln.startswith("D=") else ln for ln in lines) + "\n")
         with pytest.raises(SchemaError):
             load_covariance_model(path)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("mean", lambda v: v + ",0.5"),
+            ("D", lambda v: v.split(",")[0]),
+            ("thresholds", lambda v: v + ",0"),
+            ("U.1", lambda v: v + ",1"),
+            ("U.0", lambda v: "inf," + v.split(",", 1)[1]),
+        ],
+        ids=["extra-mean-entry", "short-D", "extra-threshold", "long-U-row", "inf-in-U"],
+    )
+    def test_inconsistent_document_is_schema_error(self, rng, tmp_path, key, edit):
+        # With one extra mean entry the document used to load as d=3 with a 2x2 U.
+        path = tmp_path / "cov.txt"
+        save_covariance_model(fit(rng.normal(size=(100, 2))), path)
+        lines = [f"{key}={edit(ln.partition('=')[2])}" if ln.startswith(f"{key}=") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError):
+            load_covariance_model(path)
+
+    def test_shapes_checked_on_construction(self):
+        # d is the length of mean, so a third mean entry makes the 2x2 C the mismatch.
+        with pytest.raises(DimensionError, match=r"C has shape \(2, 2\), expected \(3, 3\)"):
+            CovarianceModel(mean=np.zeros(3), C=np.eye(2), U=np.eye(2), D=np.ones(2), thresholds=np.zeros(2))
+        with pytest.raises(ValueError, match="non-finite value in D"):
+            CovarianceModel(mean=np.zeros(2), C=np.eye(2), U=np.eye(2), D=[1.0, np.nan], thresholds=np.zeros(2))
 
     def test_validate_catches_broken_orthogonality(self, rng):
         model = fit(rng.normal(size=(100, 3)))
