@@ -99,7 +99,8 @@ def _output_paths(args) -> list[tuple[str, str]]:
 
 
 def _config_value(v) -> str:
-    text = str(v)
+    # A command-line value is its argv bytes decoded by the locale; read as UTF-8, it is the same text in any locale.
+    text = os.fsencode(str(v)).decode("utf-8", "backslashreplace")
     return shlex.quote(text) if any(c.isspace() or c in "'\"\\" for c in text) else text
 
 
@@ -218,7 +219,10 @@ def _gen_data_uniformize(args) -> None:
     labels = read_table(args.labels, read_lines(args.labels), None, "#") if args.labels else np.ones((m, 1))
     if labels.shape != (m, 1):
         raise DimensionError(f"{args.labels}: {labels.shape[0]}x{labels.shape[1]} labels for {m} input rows")
-    model = uniformize.fit(raw)
+    try:
+        model = uniformize.fit(raw)
+    except ValueError as exc:  # too few rows, or a non-finite sample or covariance: the input's fault
+        raise SchemaError(f"{args.input}: {exc}") from exc
     model.validate()
     bits = uniformize.binarize(model, raw)
     (_, path), (_, cov_path) = _output_paths(args)

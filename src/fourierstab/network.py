@@ -182,8 +182,6 @@ def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp
     after the last step. perturb, when given, maps (net, Xb, yb) to a
     replacement batch before each gradient step (adversarial training hook).
     """
-    if data.m < 1:
-        raise ValueError("training split is empty")
     n, t = data.n, cfg.width
     rng = np.random.default_rng(cfg.seed)
     W1 = rng.normal(0.0, 1.0 / np.sqrt(n), size=(t, n))
@@ -307,7 +305,7 @@ def write_lines(path, lines: Iterable[str], header: Optional[str] = None) -> Non
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             if header is not None:
                 fh.write(header + "\n")
             fh.writelines(ln + "\n" for ln in lines)
@@ -326,7 +324,7 @@ def read_lines(path):
     """Yield a text file's lines without newlines, after the leading '# config:'
     provenance lines that CLI outputs carry; bytes that are not text raise SchemaError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = (ln.rstrip("\n") for ln in fh)
             yield from itertools.dropwhile(lambda ln: ln.startswith("# config:"), lines)
     except UnicodeDecodeError as exc:

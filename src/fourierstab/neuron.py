@@ -148,8 +148,6 @@ def stabilized_weights(h_vec: np.ndarray, p: PNorm) -> np.ndarray:
         imax = int(np.argmax(np.abs(h_vec)))
         w[imax] = math.copysign(1.0, h_vec[imax])
         return w
-    if p.p == 1.0:
-        return np.sign(h_vec)
     return np.sign(h_vec) * (np.abs(h_vec) / norm(h_vec, p.p)) ** (p.p - 1.0)
 
 
@@ -175,15 +173,15 @@ def stabilize(
 
 
 def alpha_mu(n: int, mu: float) -> float:
-    """E|S - mu| for S a sum of n independent uniform +-1/sqrt(n) variables:
-    atoms at i/sqrt(n) for even-offset i in {-n, ..., n}."""
+    """E|S - mu| for S = (n - 2k)/sqrt(n), k ~ Binomial(n, 1/2), the sum of n independent uniform +-1/sqrt(n)
+    variables. Its weights C(n, k)/C(n, n//2), built from the mode by the ratios (n-k)/(k+1), never overflow."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    scale = 1.0 / math.sqrt(n)
-    total = 0.0
-    for i in range(-n, n + 1, 2):
-        total += math.comb(n, (n - i) // 2) * abs(i * scale - mu)
-    return total / float(2**n)
+    k = np.arange(n + 1, dtype=np.float64)
+    up = np.cumprod((n - k[n // 2 : n]) / (k[n // 2 : n] + 1.0))  # k > n//2; C(n, k) = C(n, n-k) gives the rest
+    weights = np.concatenate([up[::-1][: n // 2], [1.0], up])
+    with np.errstate(over="ignore"):  # a mu near the float limit may give inf
+        return float((weights / weights.sum()) @ np.abs((n - 2.0 * k) / math.sqrt(n) - mu))
 
 
 def folded_gaussian_mean(mu: float) -> float:
@@ -247,10 +245,7 @@ def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundR
     sigma = norm(w_star, 2.0)
     eps = float(np.max(np.abs(w_star))) / sigma
     e_mu = folded_gaussian_mean(mu)
-    denom = norm(np.abs(chow.h_vec) ** (p.p - 1.0), 2.0)
-    if denom == 0.0:
-        raise ValueError(f"p={p.p:g} is too large for the bound: |h_i|^(p-1) underflows to 0")
-    gamma = abs(norm(chow.h_vec, p.p) ** p.p / denom - chow.h_empty * mu - e_mu)
+    gamma = abs(norm(chow.h_vec, p.p) / sigma - chow.h_empty * mu - e_mu)
     bound = 1.5 * (
         C0 * eps + math.sqrt((C0 * eps) ** 2 + math.sqrt(2.0 / math.pi) * (gamma + RHO * eps))
     )

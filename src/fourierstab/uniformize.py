@@ -72,11 +72,12 @@ def fit(samples: np.ndarray) -> CovarianceModel:
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need an (m, d) matrix with m >= 2")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("samples contain non-finite entries")
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    C = (Xc.T @ Xc) / (X.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sample makes C non-finite, refused below
+        mean = X.mean(axis=0)
+        Xc = X - mean
+        C = (Xc.T @ Xc) / (X.shape[0] - 1)
+    if not np.isfinite(C).all():
+        raise ValueError("the samples are not finite, or their covariance leaves the float range")
     D, U = jacobi_eigh(C)
     proj = Xc @ U
     thresholds = proj.mean(axis=0)

@@ -2,15 +2,19 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import fourierstab
 from fourierstab import cli, fourier, uniformize
 from fourierstab.cli import (
     EXIT_CAPACITY,
@@ -177,12 +181,16 @@ class TestGenData:
         assert "input is 4x4," in err and "input is 5x3," in err and "input is 2x4," in err
         assert [a.shape for a in fitted] == [(4, 3), (2, 3)]
 
-    @pytest.mark.parametrize("flag", ["--input", "--labels"])
-    @pytest.mark.parametrize(
-        "bad",
-        [b"", b"\n \n", b"# nothing\n", b"1,2\nx,3\n4,5\n", b"1,2\n\xff,3\n4,5\n", b"1,2\n3\n4,5\n"],
-        ids=["empty", "blank", "comment-only", "non-numeric", "non-utf8", "ragged"],
-    )
+    # Malformed as either file; and, as --input only, too few rows or a covariance that overflows.
+    _MALFORMED = {"empty": b"", "blank": b"\n \n", "comment-only": b"# nothing\n", "non-numeric": b"1,2\nx,3\n4,5\n",
+                  "non-utf8": b"1,2\n\xff,3\n4,5\n", "ragged": b"1,2\n3\n4,5\n"}
+    _UNFITTABLE = {"one-row": b"1,2\n", "overflow": b"1e200,1\n-1e200,2\n1e200,3\n"}
+
+    @pytest.mark.parametrize("bad, flag", [
+        *(pytest.param(bad, flag, id=f"{name}-{flag}") for name, bad in _MALFORMED.items()
+          for flag in ("--input", "--labels")),
+        *(pytest.param(bad, "--input", id=f"{name}---input") for name, bad in _UNFITTABLE.items()),
+    ])
     def test_malformed_uniformize_input_is_schema_error(self, tmp_path, capsys, flag, bad):
         # The input-file rule: exit 4 naming the file, with no warning and nothing written.
         raw, labels = tmp_path / "raw.csv", tmp_path / "labels.txt"
@@ -192,7 +200,8 @@ class TestGenData:
         target.write_bytes(bad if flag == "--input" else bad.replace(b",", b" "))
         out = tmp_path / "out"
         out.mkdir()
-        code = run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", labels, "--out", out / "u")
+        labels_args = ["--labels", labels] if flag == "--labels" else []  # an --input fault needs no labels
+        code = run("gen-data", "--kind", "uniformize", "--input", raw, *labels_args, "--out", out / "u")
         err = capsys.readouterr().err
         assert code == EXIT_SCHEMA and f"error: {target}:" in err
         assert "Warning" not in err and "Traceback" not in err
@@ -431,6 +440,19 @@ class TestSelectAttackEval:
             cells = [float(c) for c in ln.split(",")]
             assert 0.0 <= cells[3] <= 1.0  # clamped bound is a probability
 
+    def test_bounds_answer_at_large_p_and_n(self, workspace, tmp_path):
+        # p = 5000 underflows |h_i| ** (p-1), and at n = 1100 the p=1 alpha sums past 2 ** 1024.
+        _, _, model = workspace
+        prefix, wide = tmp_path / "wide", tmp_path / "wide.txt"
+        assert run("gen-data", "--kind", "planted-ltf", "--n", 1100, "--train", 20, "--val", 5, "--test", 5,
+                   "--out", prefix) == EXIT_OK
+        assert run("train", "--data", prefix, "--width", 2, "--epochs", 1, "--out", wide) == EXIT_OK
+        for argv in ([model, "--p", 5000], [wide, "--p", 1, "--chow-mode", "mc", "--chow-epsilon", 0.5]):
+            out = tmp_path / "bounds.csv"
+            assert run("bounds", "--unit", 1, "--model", *argv, "--out", out) == EXIT_OK
+            cells = np.array([ln.split(",") for ln in out.read_text().splitlines()[2:]], dtype=float)
+            assert cells.shape == (4, 8) and np.isfinite(cells[:, :5]).all()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -509,9 +531,10 @@ class TestExitCodes:
     def test_non_finite_bound_report_is_param_error(self, workspace, tmp_path, capsys):
         _, _, model = workspace
         out = tmp_path / "o.csv"
-        # mu=1e308 is finite, but at p=1 its gamma overflows.
-        assert run("bounds", "--model", model, "--unit", 0, "--p", "1",
-                   "--mus", "0,1e308", "--out", out) == EXIT_PARAMS
+        # mu=-1.78e308 is finite, but unit 3 has h_empty = -1/64, so at p=1 its
+        # gamma, about (1 + 1/64) * 1.78e308, overflows.
+        assert run("bounds", "--model", model, "--unit", 3, "--p", "1",
+                   "--mus", "0,-1.78e308", "--out", out) == EXIT_PARAMS
         captured = capsys.readouterr()
         assert "non-finite bound report" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
@@ -877,6 +900,33 @@ def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
 def test_config_header_quotes_values_with_quotes_and_backslashes(workspace, tmp_path, name):
     _, prefix, _ = workspace
     _header_round_trip(prefix, tmp_path, tmp_path / name / "d")
+
+
+def test_files_are_utf8_in_any_locale(tmp_path):
+    # Under the ASCII POSIX locale, with any defaulted text encoding an error, a non-ASCII
+    # path gives the same files, '# config:' lines included, as under a UTF-8 locale.
+    src = os.path.dirname(os.path.dirname(fourierstab.__file__))
+    commands = (
+        ["gen-data", "--kind", "planted-ltf", "--n", "6", "--train", "40", "--val", "10", "--test", "10",
+         "--out", "données/d"],
+        ["train", "--data", "données/d", "--width", "3", "--epochs", "2", "--out", "données/m.txt"],
+        ["bounds", "--model", "données/m.txt", "--unit", "1", "--p", "2", "--out", "données/b.csv"],
+    )
+    locales = {"posix": {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+               "utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}}
+    for name, env in locales.items():
+        (tmp_path / name / "données").mkdir(parents=True)
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "fourierstab.cli", *argv],
+                cwd=tmp_path / name, env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+    posix, utf8 = tmp_path / "posix" / "données", tmp_path / "utf8" / "données"
+    names = sorted(f.name for f in utf8.iterdir())
+    assert len(names) == 5 and sorted(f.name for f in posix.iterdir()) == names
+    assert all((posix / f).read_bytes() == (utf8 / f).read_bytes() for f in names)
+    assert "data=données/d " in (posix / "m.txt").read_text(encoding="utf-8")
 
 
 # --- every numeric flag at extreme values ------------------------------------

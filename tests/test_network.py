@@ -446,6 +446,28 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_dataset(p)
 
+    def test_dataset_header_must_be_an_integer(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("n=2.5\n+1,+1,-1\n")
+        with pytest.raises(SchemaError, match="bad header 'n=2.5'"):
+            load_dataset(p)
+
+    def test_model_shape_must_match_header(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(small_net(), path)
+        path.write_text(path.read_text().replace("\nn=3\n", "\nn=4\n"))
+        with pytest.raises(SchemaError, match=re.escape("W1 shape (2, 3) != (2, 4)")):
+            load_model(path)
+
+    def test_late_non_utf8_byte_names_the_file_once(self, tmp_path):
+        # The text is decoded 8 KiB at a time, so a bad byte past the first 8 KiB is met inside
+        # np.loadtxt; its SchemaError names the file already and passes through unwrapped.
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"n=2\n" + b"+1,-1,+1\n" * 2000 + b"+1,\xff,+1\n")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(p)
+        assert str(info.value).startswith(f"{p}: not a text file") and str(info.value).count(str(p)) == 1
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Config lines the CLI writes; None is a library caller's headerless file.

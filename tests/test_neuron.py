@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +329,25 @@ class TestAlphaMu:
                 direct = float(np.mean(np.abs(s - mu)))
                 assert alpha_mu(n, mu) == pytest.approx(direct, abs=1e-12)
 
+    def test_matches_exact_fraction_sum(self):
+        # sum_k C(n, k) |(n - 2k)/sqrt(n) - mu| / 2^n in exact arithmetic on the float sqrt(n) and mu.
+        for n in range(1, 65):
+            root = Fraction(math.sqrt(n))
+            for mu in (0.0, 0.3, -1.0, 2.5, 1e3, -1e300):
+                exact = sum(math.comb(n, k) * abs((n - 2 * k) / root - Fraction(mu)) for k in range(n + 1)) / 2**n
+                assert alpha_mu(n, mu) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_large_n(self):
+        # 2^n leaves the float range at n = 1024; alpha(0) tends to E|N(0,1)| as n grows.
+        for n in (1100, 100_000):
+            assert alpha_mu(n, 0.0) == pytest.approx(folded_gaussian_mean(0.0), rel=1e-3)
+            assert alpha_mu(n, 1e6) == pytest.approx(1e6, rel=1e-14)
+
+    def test_mu_at_the_float_limit_warns_nothing(self):
+        # alpha(mu) = |mu| there; the weighted sum may round past the largest float to inf.
+        for mu in (-1.78e308, sys.float_info.max):
+            assert alpha_mu(16, mu) >= 1.78e308
+
 
 class TestFoldedGaussianMean:
     def test_mu0(self):
@@ -426,13 +447,12 @@ class TestAccuracyBoundLp:
         assert rep.gamma == pytest.approx(expected, abs=1e-12)
         assert rep.epsilon_be == pytest.approx(1.0 / math.sqrt(n), abs=1e-12)
 
-    def test_underflowing_terms_are_refused(self):
-        # |h_i| ** (p-1) is 0 for every i at p = 5000; the report would divide by it.
+    def test_large_p_is_reported(self):
+        # |h_i| ** (p-1) underflows to 0 for every i at p = 5000; gamma = ||h||_p / sigma does not.
         chow = ChowEstimate(3, 0.0, np.array([0.5, -0.25, 0.25]), "exact")
-        with pytest.raises(ValueError, match="too large"):
-            accuracy_bound_lp(chow, PNorm(5000.0), 0.0)
-        assert accuracy_bound_lp(chow, PNorm(500.0), 0.0).gamma == pytest.approx(
-            abs(0.5 - folded_gaussian_mean(0.0)), rel=1e-9)
+        for p in (500.0, 5000.0, 1e7):
+            assert accuracy_bound_lp(chow, PNorm(p), 0.0).gamma == pytest.approx(
+                abs(0.5 - folded_gaussian_mean(0.0)), rel=1e-9)
 
     def test_soundness_p2(self, rng):
         for _ in range(100):

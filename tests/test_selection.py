@@ -238,6 +238,19 @@ class TestGmbFast:
                 model.W1, stabilize_subset(net, trace.accepted, PNorm(1.0), ExactChow()).W1
             )
 
+    def test_verify_warns_when_accuracy_is_not_monotone(self, rng, monkeypatch):
+        # Accuracy by the number of stabilized units: prefix 1 falls below beta, prefix 2 recovers.
+        net, _ = trained_net(rng, t=3)
+        val = teacher_dataset(net, rng)
+        by_count = {0: 1.0, 1: 0.5, 2: 0.9, 3: 0.4}
+        monkeypatch.setattr(selection, "accuracy", lambda model, data: by_count[int(model.stabilized_mask.sum())])
+        _, plain = gmb_fast(net, val, cfg_p1(0.8))
+        _, trace = gmb_fast(net, val, cfg_p1(0.8), verify=True)
+        assert len(trace.accepted) == len(plain.accepted) == 2 and not plain.warnings
+        assert trace.verification_evaluations == 1
+        assert trace.warnings == ["monotonicity violated: prefixes [1] fall below beta although prefix 2 "
+                                  "(accuracy 0.900000) does not"]
+
     def test_empty_when_nothing_feasible(self, rng):
         net, _ = trained_net(rng)
         val = teacher_dataset(net, rng)
@@ -321,6 +334,24 @@ class TestGmbc:
         assert trace.accepted == [1]
         assert 0 in trace.order
         assert model.stabilized_mask[1] and not model.stabilized_mask[0]
+
+    def test_infeasible_clean_accuracy_gives_empty_set(self, rng):
+        net, _ = trained_net(rng)
+        val = teacher_dataset(net, rng)
+        flipped = LabeledDataset(val.X, -val.y, split="validation")
+        model, trace = gmbc(net, flipped, cfg_p1(0.9))
+        assert trace.accepted == [] and trace.order == [] and trace.accuracy_evaluations == 1
+        assert len(trace.warnings) == 1 and trace.warnings[0].startswith("clean accuracy")
+        np.testing.assert_array_equal(model.W1, net.W1)
+
+    def test_warns_when_every_candidate_violates_beta(self, rng, monkeypatch):
+        net, _ = trained_net(rng, t=4)
+        val = teacher_dataset(net, rng)
+        monkeypatch.setattr(selection, "accuracy", lambda model, data: 0.5 if model.stabilized_mask.any() else 1.0)
+        model, trace = gmbc(net, val, cfg_p1(0.9))
+        assert trace.accepted == [] and sorted(trace.order) == [0, 1, 2, 3]
+        assert trace.warnings == ["every candidate violates beta=0.9; S is empty"]
+        np.testing.assert_array_equal(model.W1, net.W1)
 
     def test_respects_beta(self, rng):
         net, _ = trained_net(rng)

@@ -101,6 +101,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
+    @pytest.mark.parametrize("X", [[[1e200, 1.0], [-1e200, 2.0], [1e200, 3.0]], [[1e308, 1.0], [1e308, 2.0]]],
+                             ids=["covariance", "mean"])
+    def test_overflow_is_refused_without_warning(self, X):
+        with pytest.raises(ValueError, match="covariance leaves the float range"):
+            fit(np.array(X))
+
     def test_sample_covariance_uses_m_minus_1(self):
         X = np.array([[0.0], [2.0]])
         model = fit(X)
