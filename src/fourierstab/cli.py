@@ -143,13 +143,21 @@ def _numbers(convert=float, word=None):
     return numbers
 
 
-def _p_norm(text: str) -> str:
-    """argparse type of a norm p in [1, inf], kept as given for the config header."""
-    try:
-        PNorm(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number in [1, inf]: {text!r}") from None
-    return text
+def _p_norm(finite: bool = False):
+    """argparse type of a norm p in [1, inf], or in [1, inf) when finite, kept
+    as given for the config header."""
+    interval = "[1, inf)" if finite else "[1, inf]"
+
+    def p_norm(text: str) -> str:
+        try:
+            p = PNorm(float(text))
+        except ValueError:
+            p = None
+        if p is None or (finite and p.is_inf):
+            raise argparse.ArgumentTypeError(f"must be a number in {interval}: {text!r}")
+        return text
+
+    return p_norm
 
 
 def _chow_source(args):
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stabilize", help="replace unit weights by stabilized analogs")
     sp.add_argument("--model", required=True)
     sp.add_argument("--units", type=_numbers(int, "all"), default="all", help="'all' or comma-separated indices")
-    sp.add_argument("--p", type=_p_norm, default="1")
+    sp.add_argument("--p", type=_p_norm(), default="1")
     sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
     _add_chow_flags(sp)
     sp.add_argument("--out", required=True)
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithm", choices=["gmb", "gmbc", "gmb-fast"], default="gmb")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--a-bar", type=_number(float, 0.0, lo_open=True), default=None)
-    sp.add_argument("--p", type=_p_norm, default="1")
+    sp.add_argument("--p", type=_p_norm(), default="1")
     sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
     _add_chow_flags(sp)
     sp.add_argument("--out-model", required=True)
@@ -439,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="accuracy-loss bound report over a mu grid")
     sp.add_argument("--model", required=True)
     sp.add_argument("--unit", type=int, required=True)
-    sp.add_argument("--p", type=_p_norm, default="1")
+    sp.add_argument("--p", type=_p_norm(finite=True), default="1")
     sp.add_argument("--mus", type=_numbers(float, ""), default="",
                     help="comma-separated mu grid (default: multiples of theta/sqrt(n))")
     _add_chow_flags(sp)

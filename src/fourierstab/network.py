@@ -15,7 +15,7 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -235,6 +235,35 @@ def unit_chow(net: BinaryMlp, j: int, source: ChowSource) -> ChowEstimate:
 RESCALE_MODES = ("none", "match-qnorm")
 
 
+def stabilized_row(
+    net: BinaryMlp, j: int, p: PNorm, chow: Optional[ChowEstimate], rescale: str = "none"
+) -> tuple[np.ndarray, float]:
+    """Unit j's stabilized (row, bias) from chow, its Chow parameters (None
+    only at p = 1, where the row is sign(w)); the bias is the original one.
+
+    rescale="match-qnorm" multiplies both by the original ||w||_q so the
+    pre-activation scale is preserved for saturating activations. A
+    degenerate unit (zero row or zero coefficient vector) raises
+    DegenerateFunctionError.
+    """
+    if rescale not in RESCALE_MODES:
+        raise ValueError(f"unknown rescale mode {rescale!r}")
+    ltf = first_layer_ltf(net, j)
+    res = stabilize(ltf, p, chow, mu=ltf.theta)
+    scale = norm(ltf.w, p.q) if rescale == "match-qnorm" else 1.0
+    return res.w_star * scale, -ltf.theta * scale
+
+
+def with_stabilized_rows(net: BinaryMlp, rows: Mapping[int, tuple[np.ndarray, float]]) -> BinaryMlp:
+    """A copy of net with each unit j of rows set to its (row, bias) and marked stabilized."""
+    W1 = net.W1.copy()
+    b1 = net.b1.copy()
+    mask = net.stabilized_mask.copy()
+    for j, (row, bias) in rows.items():
+        W1[j], b1[j], mask[j] = row, bias, True
+    return replace(net, W1=W1, b1=b1, stabilized_mask=mask)
+
+
 def stabilize_subset(
     net: BinaryMlp,
     S: Iterable[int],
@@ -243,33 +272,21 @@ def stabilize_subset(
     rescale: str = "none",
 ) -> BinaryMlp:
     """Replace the weights of the first-layer units in S by their stabilized
-    analogs; biases are untouched under rescale="none".
-
-    rescale="match-qnorm" multiplies each replacement (w*, theta) by the
-    original ||w||_q so the pre-activation scale is preserved for saturating
-    activations. Degenerate units (zero row or zero coefficient vector) are
-    skipped with a warning.
+    analogs (stabilized_row), estimating each unit's Chow parameters from
+    chow_source when p > 1. Degenerate units are skipped with a warning.
     """
     if rescale not in RESCALE_MODES:
         raise ValueError(f"unknown rescale mode {rescale!r}")
     if p.p != 1.0 and chow_source is None:
         raise ValueError("p > 1 stabilization requires a chow_source")
-    W1 = net.W1.copy()
-    b1 = net.b1.copy()
-    mask = net.stabilized_mask.copy()
+    rows = {}
     for j in sorted(set(int(j) for j in S)):
         try:
-            ltf = first_layer_ltf(net, j)
             chow = None if p.p == 1.0 else unit_chow(net, j, chow_source)
-            res = stabilize(ltf, p, chow, mu=ltf.theta)
+            rows[j] = stabilized_row(net, j, p, chow, rescale)
         except DegenerateFunctionError as exc:
             warnings.warn(f"unit {j} is degenerate ({exc}); skipped")
-            continue
-        scale = norm(ltf.w, p.q) if rescale == "match-qnorm" else 1.0
-        W1[j] = res.w_star * scale
-        b1[j] = -ltf.theta * scale
-        mask[j] = True
-    return replace(net, W1=W1, b1=b1, stabilized_mask=mask)
+    return with_stabilized_rows(net, rows)
 
 
 def accuracy(net: BinaryMlp, data: LabeledDataset) -> float:

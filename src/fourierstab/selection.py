@@ -5,6 +5,12 @@ The proxy gain of a unit is computed on dual-norm-normalized weights so the
 per-neuron dominance argument applies; it is independent of which other
 units are already stabilized, so the greedy order is fixed up front for GMB
 and only the accuracy side is adaptive.
+
+Every unit of the original network is estimated once, in the gain pass: a
+selection over t units makes t Chow estimates, and each unit's gain and
+stabilized row come from its one estimate. Candidates are built by writing
+those rows into a copy of a base model, so no Chow source is consulted
+afterwards, and gmbc holds one model at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from .network import (
     accuracy,
     first_layer_ltf,
     fmt_vec,
-    stabilize_subset,
+    stabilized_row,
     unit_chow,
+    with_stabilized_rows,
 )
 from .neuron import PNorm, degree_one, norm
 
@@ -94,32 +101,36 @@ def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
     return norm(h_vec, p.p) - float(ltf.w @ h_vec) / norm(ltf.w, p.q)
 
 
-def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> tuple[np.ndarray, list[int]]:
-    """delta_r of every unit, and the units that selection may stabilize.
+Rows = dict[int, tuple[np.ndarray, float]]  # unit -> its stabilized (row, bias)
+
+
+def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> tuple[np.ndarray, Rows]:
+    """delta_r of every unit, and the stabilized (row, bias) of each unit that
+    selection may stabilize, both from one Chow estimate of the unit.
 
     A degenerate unit (a zero row or a zero coefficient vector) is one that
     stabilize_subset skips: it gains 0 and is left out, with a trace warning.
     """
     gains = np.zeros(net.t)
-    eligible = []
+    rows: Rows = {}
     for j in range(net.t):
         try:
-            gains[j] = delta_r(net, j, cfg.p, unit_chow(net, j, cfg.chow_source))
+            chow = unit_chow(net, j, cfg.chow_source)
+            gains[j] = delta_r(net, j, cfg.p, chow)
+            rows[j] = stabilized_row(net, j, cfg.p, chow, cfg.rescale)
         except DegenerateFunctionError as exc:
             trace.warnings.append(f"unit {j} is degenerate ({exc}); delta_r = 0, left out")
-            continue
-        eligible.append(j)
-    return gains, eligible
+    return gains, rows
 
 
-def _gain_order(gains: np.ndarray, eligible: list[int]) -> list[int]:
+def _gain_order(gains: np.ndarray, eligible: Rows) -> list[int]:
     """Eligible indices by descending gain, ties broken by ascending index."""
     return sorted(eligible, key=lambda j: (-gains[j], j))
 
 
-def _try(base: BinaryMlp, units, val: LabeledDataset, cfg: SelectionConfig) -> tuple[BinaryMlp, float]:
-    """Stabilize units of base; the candidate model and its validation accuracy."""
-    model = stabilize_subset(base, units, cfg.p, cfg.chow_source, rescale=cfg.rescale)
+def _try(base: BinaryMlp, units, rows: Rows, val: LabeledDataset) -> tuple[BinaryMlp, float]:
+    """base with the rows of units written in; the candidate model and its validation accuracy."""
+    model = with_stabilized_rows(base, {j: rows[j] for j in units})
     return model, accuracy(model, val)
 
 
@@ -141,13 +152,13 @@ def gmb(
     """Stabilize units in fixed descending-gain order, stopping before the
     first unit whose inclusion drops validation accuracy below beta."""
     trace = SelectionTrace()
-    gains, eligible = _unit_gains(net, cfg, trace)
-    trace.order = _gain_order(gains, eligible)
+    gains, rows = _unit_gains(net, cfg, trace)
+    trace.order = _gain_order(gains, rows)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:
         return current, trace
     for j in trace.order:
-        candidate, cand_acc = _try(current, [j], val, cfg)
+        candidate, cand_acc = _try(current, [j], rows, val)
         trace.accuracy_evaluations += 1
         if cand_acc < cfg.beta:
             break
@@ -168,34 +179,35 @@ def gmb_fast(
     most ceil(log2(t+1)) accuracy evaluations. verify=True re-checks every
     shorter prefix afterwards (extra evaluations counted separately) and
     attaches a warning when the monotonicity assumption is violated; the
-    search result is kept either way.
+    search result is kept either way. Only the model of the longest
+    feasible prefix found so far is kept.
     """
     trace = SelectionTrace()
-    gains, eligible = _unit_gains(net, cfg, trace)
-    order = trace.order = _gain_order(gains, eligible)
-    prefix: dict[int, tuple[BinaryMlp, float]] = {}  # length -> (model, accuracy)
-    lo, hi = 0, len(order)
+    gains, rows = _unit_gains(net, cfg, trace)
+    order = trace.order = _gain_order(gains, rows)
+    prefix_acc: dict[int, float] = {}  # prefix length -> accuracy
+    model, lo, hi = net, 0, len(order)
     while lo < hi:
         mid = (lo + hi + 1) // 2  # never a length tried before: lo < mid <= hi
-        prefix[mid] = _try(net, order[:mid], val, cfg)
+        candidate, prefix_acc[mid] = _try(net, order[:mid], rows, val)
         trace.accuracy_evaluations += 1
-        if prefix[mid][1] >= cfg.beta:
-            lo = mid
+        if prefix_acc[mid] >= cfg.beta:
+            model, lo = candidate, mid
         else:
             hi = mid - 1
     if lo == 0:
         trace.warnings.append(f"no feasible nonempty prefix at beta={cfg.beta}; S is empty")
         return net, trace
-    model, final_acc = prefix[lo]
+    final_acc = prefix_acc[lo]
     for rank, j in enumerate(order[:lo]):
-        acc_after = prefix[rank + 1][1] if rank + 1 in prefix else float("nan")
+        acc_after = prefix_acc.get(rank + 1, float("nan"))
         trace.steps.append(SelectionStep(j, float(gains[j]), float("nan"), float("nan"), acc_after))
     if verify:
         for i in range(1, lo):
-            if i not in prefix:
-                prefix[i] = _try(net, order[:i], val, cfg)
+            if i not in prefix_acc:
+                prefix_acc[i] = _try(net, order[:i], rows, val)[1]
                 trace.verification_evaluations += 1
-        bad = [i for i in range(1, lo) if prefix[i][1] < cfg.beta]
+        bad = [i for i in range(1, lo) if prefix_acc[i] < cfg.beta]
         if bad:
             trace.warnings.append(
                 f"monotonicity violated: prefixes {bad} fall below beta although prefix {lo} "
@@ -214,27 +226,29 @@ def gmbc(
     (skipped, not terminal). Marginal drops are recomputed lazily: a popped
     entry computed against a stale set is refreshed and pushed back, which
     is exact under the monotone-cost heuristic and a good approximation
-    otherwise.
+    otherwise. The heap keeps accuracies, not models: an entry is accepted
+    only in the round it was evaluated in, so writing the unit's row into
+    the current model then rebuilds the same candidate.
     """
     trace = SelectionTrace()
-    gains, eligible = _unit_gains(net, cfg, trace)
+    gains, rows = _unit_gains(net, cfg, trace)
     a_bar = cfg.resolved_a_bar(val.m)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:
         return current, trace
     round_no = 0
-    heap: list[tuple] = []  # (-ratio, unit, round evaluated, model, accuracy); one per unit
+    heap: list[tuple] = []  # (-ratio, unit, round evaluated, accuracy); one per unit
 
     def push(j: int) -> None:
-        candidate, cand_acc = _try(current, [j], val, cfg)
+        cand_acc = _try(current, [j], rows, val)[1]
         trace.accuracy_evaluations += 1
         ratio = float(gains[j]) / max(acc - cand_acc, a_bar)
-        heapq.heappush(heap, (-ratio, j, round_no, candidate, cand_acc))
+        heapq.heappush(heap, (-ratio, j, round_no, cand_acc))
 
-    for j in eligible:
+    for j in rows:
         push(j)
     while heap:
-        _, j, rnd, candidate, cand_acc = heapq.heappop(heap)
+        _, j, rnd, cand_acc = heapq.heappop(heap)
         if rnd != round_no:
             push(j)
             continue
@@ -243,7 +257,7 @@ def gmbc(
             continue  # permanently ineligible; entry is never re-pushed
         raw = acc - cand_acc
         trace.steps.append(SelectionStep(j, float(gains[j]), raw, max(raw, a_bar), cand_acc))
-        current, acc = candidate, cand_acc
+        current, acc = with_stabilized_rows(current, {j: rows[j]}), cand_acc
         round_no += 1
     if not trace.accepted:
         trace.warnings.append(f"every candidate violates beta={cfg.beta}; S is empty")

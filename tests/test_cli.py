@@ -455,6 +455,25 @@ class TestSelectAttackEval:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("p", ["inf", "Infinity"])
+    def test_bounds_refuses_p_inf_at_parse_time(self, workspace, tmp_path, capsys, monkeypatch, mode, p):
+        # The bound has no p = inf form, so --p inf is refused before the model is read.
+        _, _, model = workspace
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a Chow source was called")
+
+        for source in (fourier.ExactChow, fourier.MonteCarloChow):
+            monkeypatch.setattr(source, "estimate", no_estimate)
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("bounds", "--model", model, "--unit", 0, "--p", p, "--chow-mode", mode, "--out", out)
+        assert exc.value.code == EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert f"argument --p: must be a number in [1, inf): '{p}'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert run("chow", "--model", tmp_path / "nope.txt", "--unit", 0,
                    "--out", tmp_path / "o.csv") == EXIT_MISSING_FILE

@@ -1,11 +1,16 @@
+import dataclasses
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fourierstab.errors import DegenerateFunctionError
-from fourierstab.fourier import ChowEstimate, ExactChow, chow_exact
+from fourierstab.fourier import ChowEstimate, ExactChow, MonteCarloChow, chow_exact
 from fourierstab.network import (
+    RESCALE_MODES,
     Activation,
     BinaryMlp,
     LabeledDataset,
@@ -15,11 +20,14 @@ from fourierstab.network import (
     fresh_mask,
     stabilize_subset,
     train_sgd,
+    unit_chow,
+    with_stabilized_rows,
 )
 from fourierstab import selection
 from fourierstab.neuron import PNorm
 from fourierstab.selection import (
     SelectionConfig,
+    SelectionStep,
     delta_r,
     gmb,
     gmb_fast,
@@ -43,6 +51,12 @@ def trained_net(rng, t=8, n=8, m=256, seed=3):
     y = np.sign(X[:, :3].sum(axis=1) + 0.5)
     data = LabeledDataset(X, y)
     return train_sgd(data, TrainConfig(t, Activation.SIGN, 30, 0.5, 32, seed=seed)), data
+
+
+def random_net(rng, t, n):
+    """A tanh net with Gaussian weights, whose units stabilization changes a lot."""
+    return BinaryMlp(rng.normal(size=(t, n)), rng.normal(size=t), Activation.TANH, rng.normal(size=t), 0.0,
+                     fresh_mask(t))
 
 
 def cfg_p1(beta, **kw):
@@ -120,6 +134,79 @@ def test_degenerate_unit_is_left_out_with_warning(rng, algo, case, reason):
     assert sorted(trace.accepted) == [0, 2]
     assert len(trace.accepted) == model.stabilized_mask.sum()
     assert list(model.stabilized_mask) == [True, False, True]
+
+
+class CountingChow:
+    """A Chow source that records the key of every estimate it serves."""
+
+    def __init__(self, inner):
+        self.inner, self.keys = inner, []
+
+    def estimate(self, f, n, key=0):
+        self.keys.append(key)
+        return self.inner.estimate(f, n, key=key)
+
+
+def oracle_csv(net, val, cfg, trace, source, algo):
+    """trace_to_csv of trace with every number rebuilt from prefix models that
+    stabilize_subset builds from source, as selection used to build them."""
+    prefixes = [stabilize_subset(net, trace.accepted[:k], cfg.p, source, rescale=cfg.rescale)
+                for k in range(len(trace.steps) + 1)]
+    accs = [accuracy(model, val) for model in prefixes]
+    nan = float("nan")
+    steps = []
+    for k, step in enumerate(trace.steps, 1):
+        gain = delta_r(net, step.index, cfg.p, unit_chow(net, step.index, source))
+        if algo is gmb_fast:  # accuracies only at the prefix lengths the search tried
+            after = nan if math.isnan(step.accuracy_after) else accs[k]
+            steps.append(SelectionStep(step.index, gain, nan, nan, after))
+            continue
+        raw = accs[k - 1] - accs[k]
+        clamped = max(raw, cfg.resolved_a_bar(val.m)) if algo is gmbc else nan
+        steps.append(SelectionStep(step.index, gain, raw, clamped, accs[k]))
+    return prefixes[-1], trace_to_csv(dataclasses.replace(trace, steps=steps))
+
+
+@pytest.mark.parametrize("inner", [ExactChow(), MonteCarloChow(0.2, 0.01, seed=5)], ids=["exact", "mc"])
+@pytest.mark.parametrize(
+    "algo, verify", [(gmb, None), (gmb_fast, False), (gmb_fast, True), (gmbc, None)],
+    ids=["gmb", "gmb_fast", "gmb_fast-verify", "gmbc"],
+)
+def test_each_unit_is_estimated_once(rng, inner, algo, verify):
+    net = random_net(rng, 8, 8)
+    val = teacher_dataset(net, rng)
+    kwargs = {} if verify is None else {"verify": verify}
+    sizes = set()
+    for beta, rescale in itertools.product((0.0, 0.9, 0.95, 0.97), RESCALE_MODES):
+        source = CountingChow(inner)
+        cfg = SelectionConfig(beta=beta, p=PNorm(2.0), chow_source=source, rescale=rescale)
+        model, trace = algo(net, val, cfg, **kwargs)
+        assert sorted(source.keys) == list(range(net.t))
+        sizes.add(len(trace.accepted))
+        oracle, lines = oracle_csv(net, val, cfg, trace, inner, algo)
+        for attr in ("W1", "b1", "stabilized_mask"):
+            np.testing.assert_array_equal(getattr(model, attr), getattr(oracle, attr))
+        assert trace_to_csv(trace) == lines
+    assert len(sizes) > 1  # some floor rejects a unit that another accepts
+
+
+@pytest.mark.parametrize("algo", [gmbc, functools.partial(gmb_fast, verify=True)], ids=["gmbc", "gmb_fast-verify"])
+def test_peak_memory_is_a_few_models(rng, monkeypatch, algo):
+    # The stabilized rows, the current model and a candidate are about 3.4 copies of W1 here;
+    # keeping one model per candidate held about 130.
+    t, n = 128, 256
+    net = random_net(rng, t, n)
+    val = teacher_dataset(net, rng, m=4)
+    monkeypatch.setattr(selection, "accuracy", lambda model, data: 1.0)
+    cfg = SelectionConfig(beta=0.5, p=PNorm(2.0), chow_source=MonteCarloChow(1.0, 0.5, seed=0))
+    tracemalloc.start()
+    try:
+        model, trace = algo(net, val, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.accepted) == t and model.stabilized_mask.all()
+    assert peak < 5 * net.W1.nbytes
 
 
 class TestGmb:
@@ -224,11 +311,11 @@ class TestGmbFast:
         val = teacher_dataset(net, rng)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return stabilize_subset(*args, **kwargs)
+        def counting(base, rows):
+            calls.append(sorted(rows))
+            return with_stabilized_rows(base, rows)
 
-        monkeypatch.setattr(selection, "stabilize_subset", counting)
+        monkeypatch.setattr(selection, "with_stabilized_rows", counting)
         for verify in (False, True):
             calls.clear()
             model, trace = gmb_fast(net, val, cfg_p1(0.8), verify=verify)
