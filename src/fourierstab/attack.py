@@ -80,17 +80,16 @@ def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
     return _impacts(net, x[None, :], np.array([y], dtype=np.float64))[0]
 
 
-def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np.ndarray, np.ndarray]:
+def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, np.ndarray]:
     """Greedy highest-impact bit-flip path of every row of X against labels y.
 
     Each round flips, in every row, the not yet flipped coordinate whose
     single flip raises the loss most, ties toward the lowest index, for
-    min(k, n) rounds. Each choice depends only on the current row and the
-    coordinates already flipped, so the path to k flips serves every smaller
-    budget. Returns (order, changed): order[i] is row i's flip sequence,
-    padded with -1 once the row stops; changed[i] is the number of flips after
-    which the prediction first differs from the row's clean prediction, 0 if
-    it never does. With stop_on_change a row stops at that flip.
+    min(k, n) rounds; a path to k flips serves every smaller budget. Returns
+    (order, changed): order[i] is row i's flip sequence, padded with -1 once
+    the row stops. Given clean, the +-1 predictions of X's rows, row i stops
+    at the first flip after which its prediction differs from clean[i], and
+    changed[i] is that flip's number, 0 if none; without it changed is all 0.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -98,13 +97,16 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np
         raise DimensionError(f"X has shape {X.shape}, expected (m, {net.n})")
     check_pm1(X, "features")
     m, n = X.shape
+    clean = None if clean is None else np.asarray(clean, dtype=np.float64)
+    for name, a in (("y", y), ("clean", clean)):
+        if a is not None and a.shape != (m,):
+            raise DimensionError(f"{name} has shape {a.shape}, expected ({m},)")
     rounds = max(0, min(k, n))
     order = np.full((m, rounds), -1, dtype=np.intp)
     changed = np.zeros(m, dtype=np.intp)
     step = max(1, _CHUNK_VARIANTS // n)
     for lo in range(0, m, step):
         Z, yc = X[lo : lo + step].copy(), y[lo : lo + step]
-        clean = net.predict(Z)
         flipped = np.zeros(Z.shape, dtype=bool)
         live = np.arange(len(Z))
         for r in range(rounds):
@@ -114,9 +116,9 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, stop_on_change: bool) -> tuple[np
             Z[live, best] = -Z[live, best]
             flipped[live, best] = True
             order[lo + live, r] = best
-            first = (net.predict(Z[live]) != clean[live]) & (changed[lo + live] == 0)
-            changed[lo + live[first]] = r + 1
-            if stop_on_change:
+            if clean is not None:
+                first = net.predict(Z[live]) != clean[lo + live]
+                changed[lo + live[first]] = r + 1
                 live = live[~first]
                 if not live.size:
                     break
@@ -128,18 +130,17 @@ def jsma(net: BinaryMlp, x, y: float, budget: AttackBudget) -> AttackOutcome:
     changes or the budget is exhausted; coordinates are never re-flipped,
     ties break toward the lowest index."""
     x = np.asarray(x, dtype=np.float64)
-    order, changed = greedy_flips(net, x[None, :], [y], budget.max_flips, stop_on_change=True)
+    clean = net.predict(x[None, :])
+    order, changed = greedy_flips(net, x[None, :], [y], budget.max_flips, clean)
     flips = order[0][order[0] >= 0]
-    z = x.copy()
-    z[flips] = -z[flips]
-    label = float(net.predict(z[None, :])[0])
+    label = -float(clean[0]) if changed[0] else float(clean[0])
     return AttackOutcome(bool(changed[0]), tuple(int(i) for i in flips), FLIP_L1_COST * len(flips), label)
 
 
 def jsma_maxloss_batch(net: BinaryMlp, X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Flip exactly min(k, n) coordinates of every row in greedy impact
     order, regardless of misclassification; returns the perturbed inputs."""
-    order, _ = greedy_flips(net, X, y, k, stop_on_change=False)
+    order, _ = greedy_flips(net, X, y, k)
     Z = np.array(X, dtype=np.float64)
     np.put_along_axis(Z, order, -np.take_along_axis(Z, order, axis=1), axis=1)
     return Z
@@ -162,7 +163,7 @@ def attack_curve(net: BinaryMlp, data: LabeledDataset, epsilons) -> list[tuple[f
     budgets = [AttackBudget(float(eps)) for eps in epsilons]
     correct = net.predict(data.X) == data.y
     k = max((b.max_flips for b in budgets), default=0)
-    _, changed = greedy_flips(net, data.X[correct], data.y[correct], k, stop_on_change=True)
+    _, changed = greedy_flips(net, data.X[correct], data.y[correct], k, data.y[correct])
     clean = float(np.mean(correct))
     out = []
     for b in budgets:

@@ -311,7 +311,7 @@ def cmd_attack(args) -> None:
     budget = AttackBudget(args.epsilon)
     lines = ["example,true_label,clean_label,success,l1_cost,flips"]
     preds = net.predict(data.X)
-    order, changed = greedy_flips(net, data.X, data.y, budget.max_flips, stop_on_change=True)
+    order, changed = greedy_flips(net, data.X, data.y, budget.max_flips, preds)
     for i, (path, success) in enumerate(zip(order, changed > 0)):
         flips = path[path >= 0]
         lines.append(

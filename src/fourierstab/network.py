@@ -84,8 +84,14 @@ class BinaryMlp:
         t, n = W1.shape
         if self.b1.shape != (t,) or self.W2.shape != (t,) or self.stabilized_mask.shape != (t,):
             raise DimensionError("inconsistent layer shapes")
-        if not all(np.isfinite(a).all() for a in (W1, self.b1, self.W2, self.b2)):
-            raise ValueError("non-finite weight")
+        # Bounds on |pre-activation| per unit and on |margin|: when both are
+        # finite no forward pass overflows, and NaN or inf weights fail too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.abs(W1).sum(axis=1) + np.abs(self.b1)
+            a = reach if self.act is Activation.RELU else 1.0
+            margin = np.sum(np.abs(self.W2) * a) + np.abs(self.b2)
+        if not (np.isfinite(reach).all() and np.isfinite(margin)):
+            raise ValueError("non-finite weight, or weights whose forward pass can overflow")
 
     @property
     def n(self) -> int:
@@ -144,8 +150,8 @@ class LabeledDataset:
         y = np.asarray(self.y, dtype=np.float64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError("X must be a nonempty matrix")
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError(f"X has shape {X.shape}; it needs at least one row and one feature column")
         if y.shape != (X.shape[0],):
             raise DimensionError("label count does not match example count")
         check_pm1(X, "features")
@@ -175,12 +181,15 @@ def _logistic_loss_grad(margin: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -y * Activation.LOGISTIC.apply(-y * margin)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp:
     """Logistic-loss SGD with backpropagation; deterministic given cfg.seed.
 
     Sign activation is trained through a tanh surrogate and snapped to sign
     after the last step. perturb, when given, maps (net, Xb, yb) to a
     replacement batch before each gradient step (adversarial training hook).
+    A run that diverges overflows without a warning and ends when its model,
+    or the model handed to perturb, is refused as it is built.
     """
     n, t = data.n, cfg.width
     rng = np.random.default_rng(cfg.seed)

@@ -135,7 +135,7 @@ class TestImpacts:
         impacts = _impacts(sym, x, np.ones(1))
         np.testing.assert_array_equal(impacts, impacts_reference(sym, x, np.ones(1)))
         assert np.all(impacts == impacts[0, 0])
-        order, _ = greedy_flips(sym, x, np.ones(1), 4, stop_on_change=False)
+        order, _ = greedy_flips(sym, x, np.ones(1), 4)
         assert list(order[0]) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("act", [Activation.LOGISTIC, Activation.TANH, Activation.RELU])
@@ -155,7 +155,7 @@ class TestImpacts:
 
     def test_non_pm1_input_rejected(self):
         with pytest.raises(ValueError, match="exactly"):
-            greedy_flips(MAJ3_NET, np.array([[1.0, 0.5, 1.0]]), np.ones(1), 1, True)
+            greedy_flips(MAJ3_NET, np.array([[1.0, 0.5, 1.0]]), np.ones(1), 1)
         with pytest.raises(ValueError, match="exactly"):
             flip_impact(MAJ3_NET, np.array([1.0, 1.0, np.nan]), 1.0)
 
@@ -279,31 +279,62 @@ class TestJsma:
 
 
 class TestGreedyFlips:
-    @pytest.mark.parametrize("stop_on_change", [True, False])
-    def test_matches_scalar_reference_across_chunks(self, rng, stop_on_change):
+    @pytest.mark.parametrize("given", [True, False])  # clean given, or None
+    def test_matches_scalar_reference_across_chunks(self, rng, given):
         n = 8
         m = _CHUNK_VARIANTS // n + 37  # more rows than one chunk holds
         for act in (Activation.TANH, Activation.LOGISTIC, Activation.SIGN, Activation.RELU):
             net = random_mlp(rng, n, act=act)
             X = rng.choice([-1.0, 1.0], size=(m, n))
             y = rng.choice([-1.0, 1.0], size=m)
-            order, changed = greedy_flips(net, X, y, 5, stop_on_change)
+            order, changed = greedy_flips(net, X, y, 5, net.predict(X) if given else None)
             assert order.shape == (m, 5)
             for i in range(m):
-                flips, first = greedy_reference(net, X[i], y[i], 5, stop_on_change)
+                # Without clean every row takes the reference's full path.
+                flips, first = greedy_reference(net, X[i], y[i], 5, stop_on_change=given)
                 assert list(order[i][: len(flips)]) == flips
                 assert np.all(order[i][len(flips) :] == -1)
-                assert changed[i] == first
+                assert changed[i] == (first if given else 0)
 
     def test_rounds_capped_at_n(self, rng):
         net = random_mlp(rng, 4)
-        order, _ = greedy_flips(net, rng.choice([-1.0, 1.0], size=(6, 4)), np.ones(6), 9, False)
+        order, _ = greedy_flips(net, rng.choice([-1.0, 1.0], size=(6, 4)), np.ones(6), 9)
         assert order.shape == (6, 4)
         assert all(sorted(row) == [0, 1, 2, 3] for row in order)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            greedy_flips(MAJ3_NET, np.ones((2, 4)), np.ones(2), 1, True)
+            greedy_flips(MAJ3_NET, np.ones((2, 4)), np.ones(2), 1)
+
+    @pytest.mark.parametrize("labels", [np.ones(1), np.ones(3), np.ones((2, 1))])
+    def test_label_shape_checked(self, labels):
+        with pytest.raises(DimensionError, match="y has shape"):
+            greedy_flips(MAJ3_NET, np.ones((2, 3)), labels, 1)
+
+    @pytest.mark.parametrize("clean", [np.ones(1), np.ones(3), np.ones((2, 1))])
+    def test_clean_shape_checked(self, clean):
+        with pytest.raises(DimensionError, match="clean has shape"):
+            greedy_flips(MAJ3_NET, np.ones((2, 3)), np.ones(2), 1, clean)
+
+    def test_forward_passes_outside_impacts(self, rng, monkeypatch):
+        """Every prediction goes through BinaryMlp.hidden and _impacts does not:
+        max-loss training predicts nothing, jsma once plus once per round."""
+        calls = []
+        hidden = BinaryMlp.hidden
+        monkeypatch.setattr(BinaryMlp, "hidden", lambda net, X: calls.append(len(X)) or hidden(net, X))
+        net = random_mlp(rng, 8)
+        X = rng.choice([-1.0, 1.0], size=(40, 8))
+        y = rng.choice([-1.0, 1.0], size=40)
+        for k in (0, 3, 8):
+            jsma_maxloss_batch(net, X, y, k)
+        assert calls == []
+        rounds = []
+        for x, label in zip(X, y):
+            calls.clear()
+            out = jsma(net, x, label, AttackBudget(8.0))
+            assert len(calls) == 1 + len(out.flips)
+            rounds.append(len(out.flips))
+        assert 4 in rounds and min(rounds) < 4  # rows that stop early and rows that use the budget
 
 
 class TestJsmaMaxloss:

@@ -27,6 +27,7 @@ from fourierstab.cli import (
     build_parser,
     main,
 )
+from fourierstab.errors import SchemaError
 from fourierstab.fourier import MonteCarloChow, chow_exact
 from fourierstab.neuron import PNorm, stabilized_weights
 from fourierstab.network import (
@@ -524,6 +525,44 @@ class TestExitCodes:
         }[command]
         assert run(*argv, "--out", tmp_path / "o.txt") == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("command, activation", [("train", "tanh"), ("train", "logistic"),
+                                                     ("adv-train", "tanh")])
+    def test_diverging_training_is_param_error(self, tmp_path, capsys, command, activation):
+        # One epoch at lr=1e308 leaves weights whose forward pass can overflow:
+        # the run ends in the model's refusal, without a numpy warning.
+        prefix, model = tmp_path / "d", tmp_path / "m.txt"
+        assert run("gen-data", "--kind", "planted-ltf", "--n", 6, "--train", 50, "--val", 30, "--test", 30,
+                   "--out", prefix) == EXIT_OK
+        epochs = "--at-epochs" if command == "adv-train" else "--epochs"
+        code = run(command, "--data", prefix, "--width", 3, epochs, 1, "--lr", "1e308", "--batch-size", 1,
+                   "--activation", activation, "--out", model)
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMS and "non-finite weight" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not model.exists()
+
+    def test_model_whose_margin_overflows_is_schema_error(self, workspace, tmp_path, capsys):
+        # Each weight is finite, but their sum, a bound on the margin, is not.
+        _, prefix, _ = workspace
+        model = tmp_path / "m.txt"
+        save_model(BinaryMlp(np.ones((3, 8)), np.zeros(3), Activation.TANH, np.ones(3), 0.0, fresh_mask(3)), model)
+        model.write_text(re.sub(r"^W2=.*", "W2=9e307,9e307,9e307", model.read_text(), count=1, flags=re.M))
+        with pytest.raises(SchemaError, match="non-finite weight"):
+            load_model(model)
+        assert run("eval", "--model", model, "--data", prefix, "--epsilons", "0,2",
+                   "--out", tmp_path / "o.csv") == EXIT_SCHEMA
+        assert f"error: {model}: invalid model" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_dataset_without_features_is_schema_error(self, tmp_path, capsys):
+        prefix = tmp_path / "z"
+        (tmp_path / "z.train.csv").write_text("n=0\n+1\n-1\n")
+        assert run("train", "--data", prefix, "--width", 3, "--out", tmp_path / "m.txt") == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'z.train.csv'}: " in err and "feature column" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_capacity_error(self, workspace, tmp_path):
         _, _, model = workspace
         assert run("chow", "--model", model, "--unit", 0, "--cap", 4,
@@ -997,8 +1036,9 @@ def test_numeric_flags_exit_with_a_documented_code(small_workspace, tmp_path_fac
     base = {
         "gen-data": ["--kind", data.draw(st.sampled_from(["planted-ltf", "planted-mlp", "noisy-majority"])),
                      "--n", "4", "--train", "20", "--val", "10", "--test", "10"],
-        "train": ["--data", prefix, "--width", "3", "--epochs", "1"],
-        "adv-train": ["--data", prefix, "--width", "3", "--at-epochs", "1"],
+        # 40 rows in batches of 8, so that a drawn --lr takes more than one step.
+        "train": ["--data", prefix, "--width", "3", "--epochs", "1", "--batch-size", "8"],
+        "adv-train": ["--data", prefix, "--width", "3", "--at-epochs", "1", "--batch-size", "8"],
         "chow": ["--model", model, "--unit", "0"],
         "stabilize": ["--model", model],
         "select": ["--model", model, "--data", prefix, "--beta", "0",

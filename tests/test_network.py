@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourierstab.errors import DegenerateFunctionError, DimensionError, SchemaError
@@ -93,6 +93,22 @@ class TestBinaryMlp:
             value.flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             replace(net, **{field: value})
+
+    def test_rejects_weights_whose_forward_pass_can_overflow(self):
+        # relu passes a unit's whole reach, ||W1_j||_1 + |b1_j| = 4e200, to the
+        # output layer; the bounded activations pass at most 1.
+        W1, W2 = np.full((2, 4), 1e200), np.full(2, 1e200)
+        for act in (Activation.SIGN, Activation.LOGISTIC, Activation.TANH):
+            net = BinaryMlp(W1, np.zeros(2), act, W2, 0.0, fresh_mask(2))
+            assert np.all(np.isfinite(net.margin(np.ones((1, 4)))))
+        with pytest.raises(ValueError, match="non-finite"):
+            BinaryMlp(W1, np.zeros(2), Activation.RELU, W2, 0.0, fresh_mask(2))
+        # A unit's reach, or the sum of |W2|, overflows whatever the activation.
+        for W1, b1, W2 in ((np.full((2, 4), 1e308), np.ones(2), np.ones(2)),
+                           (np.full((2, 4), 1e307), np.full(2, 1.7e308), np.ones(2)),
+                           (np.ones((2, 4)), np.ones(2), np.full(2, 1e308))):
+            with pytest.raises(ValueError, match="non-finite"):
+                BinaryMlp(W1, b1, Activation.TANH, W2, 1.0, fresh_mask(2))
 
 
 class TestActivation:
@@ -484,15 +500,18 @@ _TOKENS = st.one_of(
 def binary_mlps(draw):
     t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     floats = lambda size: np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
-    return BinaryMlp(
-        W1=floats(t * n).reshape(t, n),
-        b1=floats(t),
-        act=draw(st.sampled_from(Activation)),
-        W2=floats(t),
-        b2=draw(_FINITE),
-        stabilized_mask=draw(st.lists(st.booleans(), min_size=t, max_size=t)),
-        seed_lineage=draw(st.text(alphabet=string.printable.replace("\n", "").replace("\r", ""))),
-    )
+    try:
+        return BinaryMlp(
+            W1=floats(t * n).reshape(t, n),
+            b1=floats(t),
+            act=draw(st.sampled_from(Activation)),
+            W2=floats(t),
+            b2=draw(_FINITE),
+            stabilized_mask=draw(st.lists(st.booleans(), min_size=t, max_size=t)),
+            seed_lineage=draw(st.text(alphabet=string.printable.replace("\n", "").replace("\r", ""))),
+        )
+    except ValueError:  # finite weights whose forward pass can overflow are no model (about 1 draw in 11)
+        assume(False)
 
 
 @st.composite
