@@ -25,6 +25,7 @@ import math
 import os
 import shlex
 import sys
+import warnings
 
 import numpy as np
 
@@ -75,11 +76,11 @@ _EXIT_CODES = (
 )
 
 # The largest float64 matrix a command builds from its flags or input: 2^24
-# cells, 128 MiB. gen-data refuses to draw more (examples x n, or teacher_width
-# x n) and to uniformize an input of more rows x d or d x d; train refuses a
-# wider first layer (width x n). At the uniformize bound, d = m = 4096 on a
-# 2-core Xeon with BLAS on 1 thread, fit took 1.7 s for the covariance, 14.7 s
-# for eigh and 2.1 s for the projection, in a process that peaked near 1 GB.
+# cells, 128 MiB. gen-data refuses to draw more (examples x n, or a planted-mlp
+# teacher's width x n) and to uniformize an input of more rows x d or d x d;
+# train refuses a wider first layer (width x n). At the uniformize bound,
+# d = m = 4096, fit took 1.7 s for the covariance, 14.7 s for eigh and 2.1 s
+# for the projection on a 2-core Xeon with BLAS on 1 thread, peaking near 1 GB.
 CELL_CAP = 1 << 24
 
 
@@ -200,7 +201,7 @@ def cmd_gen_data(args) -> None:
         return _gen_data_uniformize(args)
     sizes = {"train": args.train, "validation": args.val, "test": args.test}
     total = sum(sizes.values())
-    cells = max(total, args.teacher_width) * args.n
+    cells = max(total, args.teacher_width if args.kind == "planted-mlp" else 0) * args.n
     if cells > CELL_CAP:
         raise CapacityError(f"gen-data would draw {cells} cells, over the cap of {CELL_CAP}")
     rng = np.random.default_rng(args.seed)
@@ -274,8 +275,12 @@ def cmd_chow(args) -> None:
 def cmd_stabilize(args) -> None:
     net = load_model(args.model)
     units = range(net.t) if args.units == "all" else [int(u) for u in args.units.split(",")]
-    out = stabilize_subset(net, units, PNorm(float(args.p)), _chow_source(args), rescale=args.rescale)
+    with warnings.catch_warnings(record=True) as caught:  # a skipped unit's, reported as select reports its own
+        warnings.simplefilter("always")
+        out = stabilize_subset(net, units, PNorm(float(args.p)), _chow_source(args), rescale=args.rescale)
     save_model(out, args.out, _config_header(args))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     changed = int(np.sum(out.stabilized_mask & ~net.stabilized_mask))
     print(f"stabilized {changed} unit(s) at p={args.p}; model -> {args.out}")
 

@@ -240,7 +240,7 @@ def unit_chow(net: BinaryMlp, j: int, source: ChowSource) -> ChowEstimate:
     return source.estimate(first_layer_ltf(net, j).handle(), net.n, key=j)
 
 
-# stabilize_subset's rescale modes; the first is the default.
+# stabilized_row's rescale modes; the first is the default.
 RESCALE_MODES = ("none", "match-qnorm")
 
 
@@ -281,17 +281,13 @@ def stabilize_subset(
     rescale: str = "none",
 ) -> BinaryMlp:
     """Replace the weights of the first-layer units in S by their stabilized
-    analogs (stabilized_row), estimating each unit's Chow parameters from
-    chow_source when p > 1. Degenerate units are skipped with a warning.
+    analogs (stabilized_row), from chow_source's Chow parameters when p > 1
+    (stabilize refuses p > 1 without one). Degenerate units are skipped with a warning.
     """
-    if rescale not in RESCALE_MODES:
-        raise ValueError(f"unknown rescale mode {rescale!r}")
-    if p.p != 1.0 and chow_source is None:
-        raise ValueError("p > 1 stabilization requires a chow_source")
     rows = {}
     for j in sorted(set(int(j) for j in S)):
         try:
-            chow = None if p.p == 1.0 else unit_chow(net, j, chow_source)
+            chow = None if p.p == 1.0 or chow_source is None else unit_chow(net, j, chow_source)
             rows[j] = stabilized_row(net, j, p, chow, rescale)
         except DegenerateFunctionError as exc:
             warnings.warn(f"unit {j} is degenerate ({exc}); skipped")
@@ -299,8 +295,6 @@ def stabilize_subset(
 
 
 def accuracy(net: BinaryMlp, data: LabeledDataset) -> float:
-    if data.n != net.n:
-        raise DimensionError(f"dataset dimension {data.n} != model dimension {net.n}")
     return float(np.mean(net.predict(data.X) == data.y))
 
 

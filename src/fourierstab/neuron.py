@@ -199,7 +199,6 @@ class AccuracyBoundReport:
     which collapses to 1/sqrt(n) for p = 1.
     """
 
-    p: PNorm
     mu: float
     gamma: float
     bound: float
@@ -207,8 +206,6 @@ class AccuracyBoundReport:
     sigma: Optional[float] = None
     e_mu: Optional[float] = None
     alpha: Optional[float] = None
-    c0: ClassVar[float] = C0
-    c1: ClassVar[float] = C1
     rho: ClassVar[float] = RHO
 
     @property
@@ -228,7 +225,6 @@ def accuracy_bound_p1(chow: ChowEstimate, n: int, mu: float) -> AccuracyBoundRep
     gamma = abs(norm(chow.h_vec, 1.0) / math.sqrt(n) - chow.h_empty * mu - a)
     bound = 1.5 * (C0 / math.sqrt(n) + math.sqrt(C0**2 / n + math.sqrt(2.0 / math.pi) * gamma))
     return AccuracyBoundReport(
-        p=PNorm(1.0),
         mu=mu,
         gamma=gamma,
         bound=bound,
@@ -250,7 +246,6 @@ def accuracy_bound_lp(chow: ChowEstimate, p: PNorm, mu: float) -> AccuracyBoundR
         C0 * eps + math.sqrt((C0 * eps) ** 2 + math.sqrt(2.0 / math.pi) * (gamma + RHO * eps))
     )
     return AccuracyBoundReport(
-        p=p,
         mu=mu,
         gamma=gamma,
         bound=bound,

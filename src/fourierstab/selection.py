@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFunctionError
+from .errors import DegenerateFunctionError, DimensionError
 from .fourier import ChowEstimate
 from .network import (
     BinaryMlp,
@@ -104,13 +104,16 @@ def delta_r(net: BinaryMlp, j: int, p: PNorm, chow: ChowEstimate) -> float:
 Rows = dict[int, tuple[np.ndarray, float]]  # unit -> its stabilized (row, bias)
 
 
-def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> tuple[np.ndarray, Rows]:
-    """delta_r of every unit, and the stabilized (row, bias) of each unit that
-    selection may stabilize, both from one Chow estimate of the unit.
+def _unit_gains(net: BinaryMlp, val: LabeledDataset, cfg: SelectionConfig) -> tuple[SelectionTrace, np.ndarray, Rows]:
+    """A new trace, each unit's delta_r, and the stabilized (row, bias) of each unit selection
+    may stabilize, both from the unit's one Chow estimate; val's width is checked before any.
 
     A degenerate unit (a zero row or a zero coefficient vector) is one that
     stabilize_subset skips: it gains 0 and is left out, with a trace warning.
     """
+    if val.n != net.n:
+        raise DimensionError(f"dataset dimension {val.n} != model dimension {net.n}")
+    trace = SelectionTrace()
     gains = np.zeros(net.t)
     rows: Rows = {}
     for j in range(net.t):
@@ -120,7 +123,7 @@ def _unit_gains(net: BinaryMlp, cfg: SelectionConfig, trace: SelectionTrace) -> 
             rows[j] = stabilized_row(net, j, cfg.p, chow, cfg.rescale)
         except DegenerateFunctionError as exc:
             trace.warnings.append(f"unit {j} is degenerate ({exc}); delta_r = 0, left out")
-    return gains, rows
+    return trace, gains, rows
 
 
 def _gain_order(gains: np.ndarray, eligible: Rows) -> list[int]:
@@ -151,8 +154,7 @@ def gmb(
 ) -> tuple[BinaryMlp, SelectionTrace]:
     """Stabilize units in fixed descending-gain order, stopping before the
     first unit whose inclusion drops validation accuracy below beta."""
-    trace = SelectionTrace()
-    gains, rows = _unit_gains(net, cfg, trace)
+    trace, gains, rows = _unit_gains(net, val, cfg)
     trace.order = _gain_order(gains, rows)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:
@@ -182,8 +184,7 @@ def gmb_fast(
     search result is kept either way. Only the model of the longest
     feasible prefix found so far is kept.
     """
-    trace = SelectionTrace()
-    gains, rows = _unit_gains(net, cfg, trace)
+    trace, gains, rows = _unit_gains(net, val, cfg)
     order = trace.order = _gain_order(gains, rows)
     prefix_acc: dict[int, float] = {}  # prefix length -> accuracy
     model, lo, hi = net, 0, len(order)
@@ -230,8 +231,7 @@ def gmbc(
     only in the round it was evaluated in, so writing the unit's row into
     the current model then rebuilds the same candidate.
     """
-    trace = SelectionTrace()
-    gains, rows = _unit_gains(net, cfg, trace)
+    trace, gains, rows = _unit_gains(net, val, cfg)
     a_bar = cfg.resolved_a_bar(val.m)
     current, acc = net, _clean_accuracy(net, val, cfg, trace)
     if acc is None:

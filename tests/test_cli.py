@@ -115,6 +115,13 @@ class TestGenData:
         assert run(*argv, "--train", 8, "--teacher-width", 10, "--out", tmp_path / "at") == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"at.{s}.csv" for s in ("test", "train", "validation")]
 
+    def test_teacher_counts_toward_the_cap_only_when_drawn(self, tmp_path, monkeypatch):
+        # 15 examples at n=2 draw 30 cells; only planted-mlp also draws its 60 x 2 teacher.
+        monkeypatch.setattr(cli, "CELL_CAP", 100)
+        argv = ["gen-data", "--n", 2, "--train", 5, "--val", 5, "--test", 5, "--teacher-width", 60]
+        for kind, code in (("planted-ltf", EXIT_OK), ("noisy-majority", EXIT_OK), ("planted-mlp", EXIT_CAPACITY)):
+            assert run(*argv, "--kind", kind, "--out", tmp_path / kind) == code
+
     @pytest.mark.parametrize(
         "kind, noise, rows",
         [
@@ -797,6 +804,48 @@ class TestExitCodes:
             assert run(*argv, "--model", zero, "--unit", 1, "--out", tmp_path / "o.csv") == EXIT_DEGENERATE
             assert "zero weight vector" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @staticmethod
+    def _model_with_zero_unit(path):
+        W1 = np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 0.0], [0.5, 1.0, 1.0]])
+        save_model(BinaryMlp(W1, np.zeros(3), Activation.SIGN, np.ones(3), 0.0, fresh_mask(3)), path)
+
+    def test_stabilize_reports_a_skipped_unit_as_a_warning(self, tmp_path, capsys):
+        # Under tier-1's error::UserWarning the library's warning would raise; the CLI prints it.
+        self._model_with_zero_unit(tmp_path / "zero.txt")
+        capsys.readouterr()
+        assert run("stabilize", "--model", tmp_path / "zero.txt", "--units", "all", "--p", 1,
+                   "--out", tmp_path / "o.txt") == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "warning: unit 1 is degenerate (zero weight vector" in err and "UserWarning" not in err
+        assert "stabilized 2 unit(s)" in out
+        assert load_model(tmp_path / "o.txt").stabilized_mask.tolist() == [True, False, True]
+
+    def test_stabilize_warning_is_no_error_under_w_error(self, tmp_path):
+        self._model_with_zero_unit(tmp_path / "zero.txt")
+        src = os.path.dirname(os.path.dirname(fourierstab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fourierstab.cli", "stabilize", "--model", "zero.txt",
+             "--units", "all", "--p", "1", "--out", "o.txt"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "warning: unit 1 is degenerate" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("algorithm", ["gmb", "gmb-fast", "gmbc"])
+    def test_select_checks_width_before_any_estimate(self, workspace, tmp_path, capsys, monkeypatch, algorithm):
+        # The data has n=8; a model of n=10 is refused before its gain pass estimates a unit.
+        _, prefix, _ = workspace
+        wide = tmp_path / "wide.txt"
+        rng = np.random.default_rng(0)
+        save_model(BinaryMlp(rng.normal(size=(4, 10)), np.zeros(4), Activation.SIGN, np.ones(4), 0.0,
+                             fresh_mask(4)), wide)
+        calls = []
+        monkeypatch.setattr(fourier, "chow_exact", lambda *a, **k: calls.append(a) or chow_exact(*a, **k))
+        capsys.readouterr()
+        assert run("select", "--model", wide, "--data", prefix, "--algorithm", algorithm, "--beta", 0.5,
+                   "--p", 2, "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv") == EXIT_DIMENSION
+        assert "dataset dimension 8 != model dimension 10" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "command, flag, target",

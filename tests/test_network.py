@@ -292,6 +292,12 @@ class TestStabilizeSubset:
         with pytest.raises(ValueError):
             stabilize_subset(net, [0], PNorm(2.0))
 
+    def test_unknown_rescale_mode_is_refused(self, rng):
+        data = random_dataset(rng)
+        net = train_sgd(data, TrainConfig(4, Activation.SIGN, 5, 0.5, 16, seed=2))
+        with pytest.raises(ValueError, match="'bogus'"):
+            stabilize_subset(net, [0], PNorm(2.0), ExactChow(), rescale="bogus")
+
     def test_p2_rows_unit_q_norm(self, rng):
         data = random_dataset(rng)
         net = train_sgd(data, TrainConfig(4, Activation.SIGN, 5, 0.5, 16, seed=2))

@@ -404,8 +404,8 @@ class TestAccuracyBoundP1:
     def test_constants(self):
         est = chow_exact(MAJ3.handle(), 3)
         rep = accuracy_bound_p1(est, 3, 0.0)
-        assert rep.c0 == 0.47
-        assert rep.c1 == 21.82
+        assert C0 == 0.47
+        assert C1 == 21.82
         assert rep.rho == pytest.approx(4.0 * math.pi * 21.82 / (3.0 * math.sqrt(3.0)))
 
     def test_soundness(self, rng):
