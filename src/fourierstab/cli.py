@@ -172,7 +172,8 @@ def _add_chow_flags(sp):
     sp.add_argument("--chow-epsilon", type=_number(float, 0.0, lo_open=True), default=0.05)
     sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                    help="largest n for exact Chow parameters; above it --chow-mode exact exits 6")
 
 
 def _load_split(prefix: str, split: str) -> LabeledDataset:

@@ -9,6 +9,11 @@ The cube for n <= 16 is built once per process and shared: exact sweeps hand
 handles read-only views of it, so a handle must not write into its input
 (doing so raises ValueError). Larger cubes are assembled chunk by chunk from
 that cached block and are not kept.
+
+A threshold unit sign(x.w - theta) has a handle of its own, ThresholdHandle,
+that carries (w, theta) and decides rows near its boundary exactly. Its exact
+Chow parameters are counted, not enumerated: two half-cubes of about 2^(n/2)
+rows take the place of the 2^n-row cube, so for n <= 16 that cube is not built.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 
+# Exact Chow parameters refuse n above the cap. At n = 22 a threshold unit
+# counts over two half-cubes of 2^11 rows (about 0.2 MB each, about a
+# millisecond); any other handle enumerates 2^22 rows in 64 chunks of 2^16
+# (8 MB each, about a second).
 DEFAULT_ENUMERATION_CAP = 22
 
 # Monte-Carlo estimation refuses to draw more samples than exact enumeration
@@ -72,10 +81,14 @@ def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
     return X
 
 
-def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield the full cube as (m, n) chunks in canonical order."""
+def _require_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
+
+
+def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Yield the full cube as (m, n) chunks in canonical order."""
+    _require_cap(n, cap)
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
@@ -151,9 +164,101 @@ def _chow_sum(f, X) -> np.ndarray:
     return np.concatenate(([fx.sum()], fx @ X))
 
 
+def tie_band(w: np.ndarray, theta: float) -> float:
+    """Half-width of the band around 0 in which a computed x.w - theta may
+    have the wrong sign; 0 when no computed sum can err.
+
+    In any order of summation of the terms +-w_i and -theta the error is at
+    most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, section 3.1), so outside
+    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. No sum
+    errs when every term is a multiple of one power of two 2^e and
+    ||w||_1 + |theta| is below 2^(53+e), as with integer weights: every
+    partial sum is then a float.
+    """
+    reach = float(np.abs(w).sum()) + abs(theta)
+    low = min((_low_bit(v) for v in [*w.tolist(), theta] if v), default=0)
+    if math.frexp(reach)[1] <= 53 + low:
+        return 0.0
+    return 2.0 * (w.size + 1) * np.finfo(np.float64).eps * reach
+
+
+def _low_bit(v: float) -> int:
+    """The e for which v != 0 is an odd multiple of 2^e."""
+    m, d = v.as_integer_ratio()
+    return (m & -m).bit_length() - d.bit_length()
+
+
+def exact_signs(X: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
+    """sign(x.w - theta), with sign(0) = +1, of each row x of X, from the
+    correctly rounded math.fsum of its terms, which has the exact sum's sign."""
+    terms = np.hstack((X * w, np.full((len(X), 1), -theta)))
+    return np.array([1.0 if math.fsum(t) >= 0.0 else -1.0 for t in terms.tolist()])
+
+
+class ThresholdHandle:
+    """The handle of h(x) = sign(x.w - theta), with sign(0) = +1, exact on
+    every row: a row whose computed x.w - theta lies within tie_band of 0
+    takes the sign from exact_signs, so a row's label does not depend on
+    the batch it is evaluated in. chow_exact counts its coefficients from
+    (w, theta) instead of calling it. ||w||_1 + |theta| must be finite.
+    """
+
+    def __init__(self, w: np.ndarray, theta: float):
+        self.w, self.theta = w, float(theta)
+        self.band = tie_band(w, self.theta)
+
+    def __call__(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        s = X @ self.w - self.theta
+        out = np.where(s >= 0.0, 1.0, -1.0)
+        if self.band:
+            near = np.abs(s) <= self.band
+            if near.any():
+                out[near] = exact_signs(X[near], self.w, self.theta)
+        return out
+
+
+def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
+    """2^n times (h_empty, h_1, ..., h_n) of f by meet in the middle (Horowitz
+    and Sahni, J. ACM 21(2), 1974): x splits into halves a (the first n//2
+    coordinates) and b, and each a-half's label sum counts the b-halves whose
+    partial sums lie on either side of theta - a.w_a in sorted order."""
+    na = n // 2
+    A, B = cube_chunk(na, 0, 1 << na), cube_chunk(n - na, 0, 1 << (n - na))
+    sb = B @ f.w[na:]
+    order = np.argsort(sb, kind="stable")
+    sb = sb[order]
+    t = f.theta - A @ f.w[:na]
+    # Pairs of a with the b-halves at sorted positions from hi on are rows
+    # labelled +1, those before lo -1; exact_signs decides the pairs between,
+    # whose sums lie within the band.
+    lo = np.searchsorted(sb, t - f.band, "left")
+    hi = np.searchsorted(sb, t + f.band, "right") if f.band else lo
+    up_a = len(sb) - hi
+    up_b = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]  # by sorted position
+    width = hi - lo
+    if width.any():
+        a = np.repeat(np.arange(len(t)), width)
+        j = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
+        up = exact_signs(np.hstack((A[a], B[order[j]])), f.w, f.theta) > 0.0
+        up_a += np.bincount(a[up], minlength=len(t))
+        up_b += np.bincount(j[up], minlength=len(sb))
+    by_b = np.empty_like(up_b)
+    by_b[order] = up_b
+    label_a, label_b = 2 * up_a - len(sb), 2 * by_b - len(t)
+    return np.concatenate(([label_a.sum()], label_a @ A, label_b @ B))
+
+
 def chow_exact(f, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> ChowEstimate:
-    """Exact degree-<=1 coefficients by full enumeration (n <= cap)."""
-    h = cube_mean(lambda X: _chow_sum(f, X), n, cap)
+    """Exact degree-<=1 coefficients (n <= cap): counted for a ThresholdHandle
+    on n inputs, by full enumeration for any other handle. Both sum integers,
+    so both give the same bits."""
+    _require_cap(n, cap)
+    if isinstance(f, ThresholdHandle) and f.w.size == n:
+        h = _threshold_chow_sums(f, n) / float(1 << n)
+    else:
+        h = cube_mean(lambda X: _chow_sum(f, X), n, cap)
     return ChowEstimate(n=n, h_empty=float(h[0]), h_vec=h[1:], mode="exact")
 
 
@@ -230,7 +335,7 @@ def chow_all(f, n: int, cap: int = 16) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExactChow:
-    """Chow-parameter source backed by full enumeration."""
+    """Chow-parameter source backed by chow_exact."""
 
     cap: int = DEFAULT_ENUMERATION_CAP
 

@@ -14,7 +14,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
-from .fourier import ChowEstimate, cube_mean, disagreement_exact  # noqa: F401  (re-exported)
+from .fourier import ChowEstimate, ThresholdHandle, cube_mean, disagreement_exact  # noqa: F401  (re-exported)
 
 # Best known Berry-Esseen constants, and the term rho = 4*pi*C1 / (3*sqrt(3)) of the p > 1 bound.
 C0 = 0.47
@@ -74,22 +74,19 @@ class LinearThresholdNeuron:
             raise DimensionError("w must be a nonempty vector")
         if not np.any(w != 0.0):
             raise DegenerateFunctionError("zero weight vector: function is constant")
-        if not (np.isfinite(w).all() and math.isfinite(self.theta)):
-            raise ValueError("non-finite weight or threshold")
+        with np.errstate(over="ignore"):
+            reach = float(np.abs(w).sum()) + abs(self.theta)
+        if not math.isfinite(reach):
+            raise ValueError("non-finite weight or threshold, or ||w||_1 + |theta| overflows")
 
     @property
     def n(self) -> int:
         return self.w.size
 
-    def handle(self):
-        """Vectorized +-1-valued function handle over (m, n) inputs."""
-        w, theta = self.w, self.theta
-
-        def h(X):
-            X = np.asarray(X, dtype=np.float64)
-            return sign_pm1(X @ w - theta)
-
-        return h
+    def handle(self) -> ThresholdHandle:
+        """Vectorized +-1-valued function handle over (m, n) inputs, exact on
+        every row, that carries (w, theta) for chow_exact."""
+        return ThresholdHandle(self.w, self.theta)
 
     def normalized(self, p: PNorm) -> "LinearThresholdNeuron":
         """Scale (w, theta) to unit dual norm; the sign function is unchanged."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fourierstab.neuron import LinearThresholdNeuron
 
@@ -31,6 +32,27 @@ def random_ltf(rng, n, zero_free=True, with_bias=True):
             break
     theta = rng.normal(scale=0.5) if with_bias else 0.0
     return LinearThresholdNeuron(w, theta)
+
+
+def ltf_units(n, kind):
+    """Hypothesis strategy for threshold units on n inputs: Gaussian weights and
+    threshold, one-decimal weights and threshold (sums that are ties in decimal
+    land within a rounding error of 0), or +-1 weights with an integer threshold
+    (exact sums, ties wherever x.w = theta)."""
+    if kind == "gaussian":
+        return st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
+            lambda g: LinearThresholdNeuron(g.normal(size=n), float(g.normal(scale=0.5))))
+    if kind == "one-decimal":
+        tenths = st.integers(-10, 10).map(lambda k: k / 10)
+        weights = st.lists(tenths, min_size=n, max_size=n).filter(any)
+        return st.builds(LinearThresholdNeuron, weights.map(np.array), tenths)
+    if kind == "pm1":
+        weights = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+        return st.builds(LinearThresholdNeuron, weights.map(np.array), st.integers(-n - 1, n + 1).map(float))
+    raise ValueError(kind)
+
+
+LTF_KINDS = ("gaussian", "one-decimal", "pm1")
 
 
 @pytest.fixture

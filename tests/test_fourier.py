@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant, dictator, majority3, random_ltf
+from conftest import LTF_KINDS, constant, dictator, ltf_units, majority3, random_ltf
+from fourierstab import fourier
 from fourierstab.errors import CapacityError, DimensionError
 from fourierstab.fourier import (
     MC_SAMPLE_CAP,
@@ -81,6 +82,72 @@ class TestChowExact:
             est = chow_exact(random_ltf(rng, n).handle(), n)
             assert abs(est.h_empty) <= 1.0
             assert np.all(np.abs(est.h_vec) <= 1.0)
+
+
+def enumerated(handle):
+    """The same function as handle, without the (w, theta) that chow_exact counts from."""
+    return lambda X: handle(X)
+
+
+def same_bits(a, b):
+    return a.h_vec.tobytes() == b.h_vec.tobytes() and np.float64(a.h_empty).tobytes() == np.float64(b.h_empty).tobytes()
+
+
+class TestThresholdCounting:
+    """chow_exact counts a threshold unit's coefficients by meet in the middle
+    and gives the bits that enumerating its handle gives."""
+
+    @pytest.mark.parametrize("kind", LTF_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_enumeration(self, n, kind, data):
+        h = data.draw(ltf_units(n, kind)).handle()
+        assert same_bits(chow_exact(h, n), chow_exact(enumerated(h), n))
+
+    def test_majority_on_33_inputs_in_closed_form(self):
+        # An odd sum never ties: h_empty = 0, and h_i = Pr[the other 32 tie] = C(32, 16) / 2^32.
+        est = chow_exact(LinearThresholdNeuron(np.ones(33), 0.0).handle(), 33, cap=33)
+        assert est.h_empty == 0.0
+        np.testing.assert_array_equal(est.h_vec, np.full(33, math.comb(32, 16) / 2**32))
+
+    def test_capacity_error_before_any_half_cube(self, monkeypatch):
+        def no_rows(n, start, stop):
+            raise AssertionError("a cube chunk was built")
+
+        monkeypatch.setattr(fourier, "cube_chunk", no_rows)
+        for n, cap in ((23, {}), (33, {"cap": 32})):
+            with pytest.raises(CapacityError):
+                chow_exact(LinearThresholdNeuron(np.ones(n), 0.5).handle(), n, **cap)
+
+    def test_rows_drawn_at_n16(self, monkeypatch):
+        drawn = []
+
+        def counting_chunk(n, start, stop):
+            drawn.append(stop - start)
+            return cube_chunk(n, start, stop)
+
+        monkeypatch.setattr(fourier, "cube_chunk", counting_chunk)
+        h = random_ltf(np.random.default_rng(7), 16).handle()
+        calls = []
+        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: calls.append(len(X)))
+        counted = chow_exact(h, 16)
+        assert drawn == [1 << 8, 1 << 8] and calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(fourier, "cube_chunk", counting_chunk)
+        drawn.clear()
+        assert same_bits(counted, chow_exact(enumerated(h), 16))
+        assert sum(drawn) == 1 << 16
+
+    def test_tie_heavy_units_decide_their_band_pairs(self):
+        # One-decimal weights whose decimal sums tie on many rows: every such row lies
+        # in the band, in the handle and as a pair in the counting.
+        nrn = LinearThresholdNeuron(np.tile([0.1, 0.2, 0.3, -0.6], 4), 0.0)
+        X = cube_chunk(16, 0, 1 << 16)
+        s = X @ nrn.w
+        assert np.count_nonzero(np.abs(s) <= fourier.tie_band(nrn.w, 0.0)) > 1000
+        h = nrn.handle()
+        assert same_bits(chow_exact(h, 16), chow_exact(enumerated(h), 16))
 
 
 class TestChowMc:

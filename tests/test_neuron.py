@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import constant, dictator, majority3, random_ltf
+from conftest import constant, dictator, ltf_units, majority3, random_ltf
 from fourierstab.errors import DegenerateFunctionError, DimensionError
-from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube
+from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube, tie_band
 from fourierstab.network import Activation, BinaryMlp, fresh_mask
 from fourierstab.neuron import (
     C0,
@@ -107,6 +109,68 @@ class TestLinearThresholdNeuron:
     def test_zero_weight_vector_is_degenerate(self):
         with pytest.raises(DegenerateFunctionError, match="zero weight vector"):
             LinearThresholdNeuron(np.zeros(3), 0.5)
+
+    def test_overflowing_reach_rejected(self):
+        # Each weight is finite, but ||w||_1 + |theta|, a bound on every sum x.w - theta, is not.
+        with pytest.raises(ValueError, match="overflows"):
+            LinearThresholdNeuron(np.array([1e308, -1e308]), 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            LinearThresholdNeuron(np.array([1e308]), 1.7e308)
+
+
+def fraction_labels(nrn, X):
+    """sign(x.w - theta), sign(0) = +1, of each row in exact rational arithmetic."""
+    w, theta = [Fraction(v) for v in nrn.w], Fraction(nrn.theta)
+    return np.array([1.0 if sum(wi if xi > 0 else -wi for xi, wi in zip(x, w)) >= theta else -1.0 for x in X])
+
+
+class TestExactLabels:
+    """The handle labels every row with the exact sign of x.w - theta, whatever
+    batch the row is evaluated in."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: ltf_units(n, "one-decimal")))
+    def test_one_decimal_weights_match_fraction_enumeration(self, nrn):
+        X = cube(nrn.n)
+        labels = fraction_labels(nrn, X)
+        np.testing.assert_array_equal(nrn.handle()(X), labels)
+        est = chow_exact(nrn.handle(), nrn.n)
+        assert est.h_empty == labels.sum() / len(X)
+        np.testing.assert_array_equal(est.h_vec, labels @ X / len(X))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: ltf_units(n, "one-decimal")), st.booleans())
+    def test_each_row_gets_its_batch_label_alone(self, nrn, flat):
+        X = cube(nrn.n)
+        h = nrn.handle()
+        batch = h(X)
+        alone = [h(x) if flat else h(x[None, :])[0] for x in X]
+        assert alone == batch.tolist()
+        np.testing.assert_array_equal(h(X[::-1]), batch[::-1])
+
+    @pytest.mark.parametrize("w, theta", [([0.3, 0.2, -0.1], -0.6), ([-0.2, -0.5, -0.6, 0.7], -0.6)])
+    def test_decimal_ties_that_blas_gets_wrong(self, w, theta):
+        # In decimal, x.w = theta on one row. In floats, BLAS's sign of x.w - theta
+        # is wrong there: inside the 2^n batch for the first unit, for the row
+        # on its own for the second.
+        nrn = LinearThresholdNeuron(np.array(w), theta)
+        X = cube(nrn.n)
+        exact = fraction_labels(nrn, X)
+        blas = [sign_pm1(X @ nrn.w - nrn.theta), [sign_pm1(x @ nrn.w - nrn.theta) for x in X]]
+        assert any((labels != exact).any() for labels in blas)
+        assert tie_band(nrn.w, nrn.theta) > 0.0
+        np.testing.assert_array_equal(nrn.handle()(X), exact)
+        assert [nrn.handle()(x) for x in X] == exact.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: ltf_units(n, "pm1")))
+    def test_pm1_weights_with_integer_threshold_keep_their_labels(self, nrn):
+        # Every sum is an integer, so BLAS is exact and no row needs deciding.
+        X = cube(nrn.n)
+        assert tie_band(nrn.w, nrn.theta) == 0.0
+        labels = nrn.handle()(X)
+        np.testing.assert_array_equal(labels, sign_pm1(X @ nrn.w - nrn.theta))
+        np.testing.assert_array_equal(labels, fraction_labels(nrn, X))
 
 
 class TestDistance:
