@@ -32,7 +32,7 @@ import numpy as np
 from . import selection, uniformize
 from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
+from .fourier import CELL_CAP, DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
 from .network import (
     RESCALE_MODES,
     Activation,
@@ -75,13 +75,12 @@ _EXIT_CODES = (
     (ValueError, EXIT_PARAMS),
 )
 
-# The largest float64 matrix a command builds from its flags or input: 2^24
-# cells, 128 MiB. gen-data refuses to draw more (examples x n, or a planted-mlp
-# teacher's width x n) and to uniformize an input of more rows x d or d x d;
-# train refuses a wider first layer (width x n). At the uniformize bound,
-# d = m = 4096, fit took 1.7 s for the covariance, 14.7 s for eigh and 2.1 s
-# for the projection on a 2-core Xeon with BLAS on 1 thread, peaking near 1 GB.
-CELL_CAP = 1 << 24
+# CELL_CAP bounds every matrix a command builds: gen-data refuses to draw more
+# cells (examples x n, or a planted-mlp teacher's width x n) and to uniformize
+# an input of more rows x d or d x d; train refuses a wider first layer
+# (width x n). At the uniformize bound, d = m = 4096, fit took 1.7 s for the
+# covariance, 14.7 s for eigh and 2.1 s for the projection on a 2-core Xeon
+# with BLAS on 1 thread, peaking near 1 GB.
 
 
 # The output flags. With the dispatch entries they are not configuration, so
@@ -173,7 +172,8 @@ def _add_chow_flags(sp):
     sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
     sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                    help="largest n for exact Chow parameters; above it --chow-mode exact exits 6")
+                    help="largest n for exact Chow parameters; above it, or for a threshold unit "
+                         "on 39 or more inputs, --chow-mode exact exits 6")
 
 
 def _load_split(prefix: str, split: str) -> LabeledDataset:

@@ -5,20 +5,18 @@ an (m, n) array with entries in {-1, +1} to an (m,) array of outputs.
 Boolean-valued handles return exactly +-1; real-valued handles (for example
 a sigmoid unit) may return anything in [-1, 1].
 
-The cube for n <= 16 is built once per process and shared: exact sweeps hand
-handles read-only views of it, so a handle must not write into its input
-(doing so raises ValueError). Larger cubes are assembled chunk by chunk from
-that cached block and are not kept.
+Exact sweeps enumerate the cube in canonical order, in chunks of at most
+2^16 rows built afresh from the bits of each row's index.
 
 A threshold unit sign(x.w - theta) has a handle of its own, ThresholdHandle,
 that carries (w, theta) and decides rows near its boundary exactly. Its exact
 Chow parameters are counted, not enumerated: two half-cubes of about 2^(n/2)
-rows take the place of the 2^n-row cube, so for n <= 16 that cube is not built.
+rows take the place of the 2^n-row cube, so that cube is not built. Counting
+refuses a unit whose larger half-cube would exceed CELL_CAP cells (n >= 39).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +27,15 @@ from .errors import CapacityError, DimensionError
 # Exact Chow parameters refuse n above the cap. At n = 22 a threshold unit
 # counts over two half-cubes of 2^11 rows (about 0.2 MB each, about a
 # millisecond); any other handle enumerates 2^22 rows in 64 chunks of 2^16
-# (8 MB each, about a second).
+# (8 MB each, about a second). A raised cap does not lift CELL_CAP: counting
+# refuses a threshold unit on 39 or more inputs. At n = 38 it takes about a
+# second and peaks near 250 MB.
 DEFAULT_ENUMERATION_CAP = 22
+
+# The largest float64 matrix a command builds from its flags or input: 2^24
+# cells, 128 MiB. Counting refuses a unit whose larger half-cube, 2^k rows of
+# k = n - n//2 columns, would exceed it.
+CELL_CAP = 1 << 24
 
 # Monte-Carlo estimation refuses to draw more samples than exact enumeration
 # at the default cap would visit.
@@ -48,37 +53,13 @@ _CHUNK_BITS = 16
 _MC_CHUNK_CELLS = 1 << 14
 
 
-@functools.cache
-def _cube_block(b: int) -> np.ndarray:
-    """The whole of {-1,+1}^b in canonical order, built once per process and
-    read-only, for b <= _CHUNK_BITS (all of them together take about 16 MB)."""
-    idx = np.arange(1 << b, dtype=np.int64)
-    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(b, dtype=np.int64)[None, :]) & 1)
-    X.flags.writeable = False
-    return X
-
-
 def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the canonical enumeration of {-1,+1}^n.
+    """Rows start..stop of the canonical enumeration of {-1,+1}^n, a new array.
 
     Row k has x_j = +1 when bit j of k is 0, so row 0 is the all-ones input.
-    For n <= _CHUNK_BITS the rows are a read-only view of the cached cube
-    (the cube itself when all rows are asked for). Above that the rows are a
-    new array: the low _CHUNK_BITS columns repeat the cached cube, and the
-    high columns hold the bits of k >> _CHUNK_BITS, constant within each run
-    of 2^_CHUNK_BITS rows.
     """
-    if n <= _CHUNK_BITS:
-        block = _cube_block(n)
-        return block if (start, stop) == (0, len(block)) else block[start:stop]
-    low, mask = _cube_block(_CHUNK_BITS), (1 << _CHUNK_BITS) - 1
-    high = np.arange(_CHUNK_BITS, n, dtype=np.int64)
-    X = np.empty((stop - start, n))
-    for s in (start, *range((start | mask) + 1, stop, mask + 1)):
-        base, e = s & ~mask, min(stop, (s | mask) + 1)
-        X[s - start : e - start, :_CHUNK_BITS] = low[s - base : e - base]
-        X[s - start : e - start, _CHUNK_BITS:] = 1.0 - 2.0 * ((s >> high) & 1)
-    return X
+    k = np.arange(start, stop, dtype=np.int64)
+    return 1.0 - 2.0 * ((k[:, None] >> np.arange(n, dtype=np.int64)) & 1)
 
 
 def _require_cap(n: int, cap: int) -> None:
@@ -180,7 +161,13 @@ def tie_band(w: np.ndarray, theta: float) -> float:
     low = min((_low_bit(v) for v in [*w.tolist(), theta] if v), default=0)
     if math.frexp(reach)[1] <= 53 + low:
         return 0.0
-    return 2.0 * (w.size + 1) * np.finfo(np.float64).eps * reach
+    return rounding_band(w.size, reach)
+
+
+def rounding_band(n: int, reach):
+    """2(n+1)*eps*reach: tie_band's half-width for n weights whose
+    ||w||_1 + |theta| is reach (a float, or an array of them)."""
+    return 2.0 * (n + 1) * np.finfo(np.float64).eps * reach
 
 
 def _low_bit(v: float) -> int:
@@ -224,8 +211,10 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     and Sahni, J. ACM 21(2), 1974): x splits into halves a (the first n//2
     coordinates) and b, and each a-half's label sum counts the b-halves whose
     partial sums lie on either side of theta - a.w_a in sorted order."""
-    na = n // 2
-    A, B = cube_chunk(na, 0, 1 << na), cube_chunk(n - na, 0, 1 << (n - na))
+    na, nb = n // 2, n - n // 2
+    if (nb << nb) > CELL_CAP:
+        raise CapacityError(f"n={n} needs a half-cube of {nb << nb} cells, over the cap of {CELL_CAP}")
+    A, B = cube_chunk(na, 0, 1 << na), cube_chunk(nb, 0, 1 << nb)
     sb = B @ f.w[na:]
     order = np.argsort(sb, kind="stable")
     sb = sb[order]

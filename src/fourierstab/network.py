@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ChowEstimate, ExactChow, MonteCarloChow
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow, exact_signs, rounding_band
 from .neuron import LinearThresholdNeuron, PNorm, norm, sign_pm1, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
@@ -110,9 +110,19 @@ class BinaryMlp:
         return Z
 
     def hidden(self, X: np.ndarray) -> np.ndarray:
-        """Hidden activations, for a batch or one input, in the pre-activations' buffer."""
+        """Hidden activations, for a batch or one input, in the pre-activations'
+        buffer. A sign unit decides each pre-activation within rounding_band
+        of 0, where the computed sign may err, by exact_signs, so it labels
+        every input as first_layer_ltf's handle does."""
         Z = self.preactivation(X)
-        return self.act.apply(Z, out=Z)
+        if self.act is not Activation.SIGN:
+            return self.act.apply(Z, out=Z)
+        near = np.abs(Z) <= rounding_band(self.n, np.abs(self.W1).sum(axis=1) + np.abs(self.b1))
+        A = sign_pm1(Z)
+        X2, A2, near2 = np.atleast_2d(X, A, near)  # one input: one-row views
+        for j in np.flatnonzero(near2.any(axis=0)):
+            A2[near2[:, j], j] = exact_signs(X2[near2[:, j]], self.W1[j], -self.b1[j])
+        return A
 
     def head(self, A: np.ndarray) -> np.ndarray:
         """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""

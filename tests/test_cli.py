@@ -286,13 +286,17 @@ class TestTrainChowStabilize:
     def test_exact_chow_cap(self, tmp_path):
         # Majority on 32 inputs, with sign(0) = +1: h_empty = Pr[x.w = 0] = C(32, 16)/2^32,
         # and h_i = Pr[the other 31 sum to -1] = C(31, 15)/2^31. Counted, it takes milliseconds.
-        for n in (23, 32):
+        for n in (23, 32, 40):
             save_model(BinaryMlp(np.ones((1, n)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)),
                        tmp_path / f"m{n}.txt")
         assert run("chow", "--model", tmp_path / "m23.txt", "--unit", 0, "--out", tmp_path / "c23.csv") == EXIT_CAPACITY
         assert run("chow", "--model", tmp_path / "m23.txt", "--unit", 0, "--cap", 22,
                    "--out", tmp_path / "c23.csv") == EXIT_CAPACITY
         assert not (tmp_path / "c23.csv").exists()
+        # At n = 40 the larger half-cube, 20 * 2^20 cells, is over CELL_CAP whatever the --cap.
+        assert run("chow", "--model", tmp_path / "m40.txt", "--unit", 0, "--cap", 40,
+                   "--out", tmp_path / "c40.csv") == EXIT_CAPACITY
+        assert not (tmp_path / "c40.csv").exists()
         out = tmp_path / "c32.csv"
         assert run("chow", "--model", tmp_path / "m32.txt", "--unit", 0, "--cap", 32, "--out", out) == EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]

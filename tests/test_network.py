@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import LTF_KINDS, ltf_units
 from fourierstab.errors import DegenerateFunctionError, DimensionError, SchemaError
-from fourierstab.fourier import ExactChow
+from fourierstab.fourier import ExactChow, cube_chunk
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -245,6 +246,24 @@ class TestFirstLayerLtf:
         hidden = net.hidden(X)
         for j in range(net.t):
             np.testing.assert_array_equal(first_layer_ltf(net, j).handle()(X), hidden[:, j])
+
+    def test_tie_row_takes_the_exact_sign(self):
+        # In floats 0.6 - 0.3 - 0.2 - 0.1 is -2.8e-17 exactly, and BLAS's sum rounds to 0 or above.
+        net = BinaryMlp(np.array([[0.3, 0.2, -0.1]]), np.array([0.6]), Activation.SIGN, np.ones(1), 0.0,
+                        fresh_mask(1))
+        x = np.array([-1.0, -1.0, 1.0])
+        assert net.hidden(x)[0] == net.hidden(x[None])[0, 0] == -1.0
+        assert first_layer_ltf(net, 0).handle()(x[None])[0] == -1.0
+
+    @pytest.mark.parametrize("kind", LTF_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sign_net_labels_the_cube_as_its_handle(self, kind, data):
+        n = data.draw(st.integers(1, 10))
+        nrn = data.draw(ltf_units(n, kind))
+        net = BinaryMlp(nrn.w[None, :], np.array([-nrn.theta]), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1))
+        X = cube_chunk(n, 0, 1 << n)
+        np.testing.assert_array_equal(net.hidden(X)[:, 0], first_layer_ltf(net, 0).handle()(X))
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
