@@ -8,11 +8,11 @@ a sigmoid unit) may return anything in [-1, 1].
 Exact sweeps enumerate the cube in canonical order, in chunks of at most
 2^16 rows built afresh from the bits of each row's index.
 
-A threshold unit sign(x.w - theta) has a handle of its own, ThresholdHandle,
-that carries (w, theta) and decides rows near its boundary exactly. Its exact
-Chow parameters are counted, not enumerated: two half-cubes of about 2^(n/2)
-rows take the place of the 2^n-row cube, so that cube is not built. Counting
-refuses a unit whose larger half-cube would exceed CELL_CAP cells (n >= 39).
+threshold_signs decides every sign of a threshold sum x.w - theta exactly:
+in a unit's handle, ThresholdHandle, in its counting's band pairs, and in
+network's sign layers. A unit's exact Chow parameters are counted over two
+half-cubes of about 2^(n/2) rows, not enumerated over the 2^n-row cube; a
+unit whose larger half-cube would exceed CELL_CAP cells (n >= 39) is refused.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ MC_SAMPLE_CAP = 1 << DEFAULT_ENUMERATION_CAP
 # materializing a 2^n-by-n matrix all at once.
 _CHUNK_BITS = 16
 
-# Monte-Carlo samples are drawn in chunks of at most this many cells (rows
-# times n), so each chunk's arrays (about 128 KB) are reused from the heap.
+# Monte-Carlo samples and counting's band pairs go in chunks of at most this
+# many cells (rows times n), so each chunk's arrays (128 KB) are reused from the heap.
 # Arrays of megabytes go back to the OS when freed and are page-faulted in
 # again on the next call; much smaller chunks cost more in per-chunk calls
 # than they save.
@@ -145,9 +145,14 @@ def _chow_sum(f, X) -> np.ndarray:
     return np.concatenate(([fx.sum()], fx @ X))
 
 
-def tie_band(w: np.ndarray, theta: float) -> float:
+def sign_pm1(z: np.ndarray) -> np.ndarray:
+    return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
+
+
+def tie_band(W: np.ndarray, theta):
     """Half-width of the band around 0 in which a computed x.w - theta may
-    have the wrong sign; 0 when no computed sum can err.
+    have the wrong sign; 0 when no computed sum can err. For a (k, n) layer W
+    with (k,) thresholds, the (k,) bands of its units.
 
     In any order of summation of the terms +-w_i and -theta the error is at
     most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability
@@ -157,38 +162,37 @@ def tie_band(w: np.ndarray, theta: float) -> float:
     ||w||_1 + |theta| is below 2^(53+e), as with integer weights: every
     partial sum is then a float.
     """
-    reach = float(np.abs(w).sum()) + abs(theta)
-    low = min((_low_bit(v) for v in [*w.tolist(), theta] if v), default=0)
-    if math.frexp(reach)[1] <= 53 + low:
-        return 0.0
-    return rounding_band(w.size, reach)
+    W, theta = np.asarray(W, dtype=np.float64), np.asarray(theta, dtype=np.float64)
+    # A term m * 2^e (frexp) is M = m * 2^53 times 2^(e-53), and M & -M, M's
+    # lowest set bit, is 2^(j-1) for its frexp exponent j; 2048 marks a zero term.
+    m, e = np.frexp(np.concatenate((W, theta[..., None]), axis=-1))
+    M = (m * 2.0**53).astype(np.int64)
+    low = np.where(M != 0, np.frexp((M & -M).astype(np.float64))[1] + e - 54, 2048).min(axis=-1)
+    reach = np.abs(W).sum(axis=-1) + np.abs(theta)
+    band = np.where(np.frexp(reach)[1] <= 53 + low, 0.0, 2.0 * W.shape[-1] + 2.0)
+    return (band * np.finfo(np.float64).eps * reach)[()]
 
 
-def rounding_band(n: int, reach):
-    """2(n+1)*eps*reach: tie_band's half-width for n weights whose
-    ||w||_1 + |theta| is reach (a float, or an array of them)."""
-    return 2.0 * (n + 1) * np.finfo(np.float64).eps * reach
-
-
-def _low_bit(v: float) -> int:
-    """The e for which v != 0 is an odd multiple of 2^e."""
-    m, d = v.as_integer_ratio()
-    return (m & -m).bit_length() - d.bit_length()
-
-
-def exact_signs(X: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
-    """sign(x.w - theta), with sign(0) = +1, of each row x of X, from the
-    correctly rounded math.fsum of its terms, which has the exact sum's sign."""
-    terms = np.hstack((X * w, np.full((len(X), 1), -theta)))
-    return np.array([1.0 if math.fsum(t) >= 0.0 else -1.0 for t in terms.tolist()])
+def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """sign(x.W[j] - theta[j]), with sign(0) = +1, of each row x of X and each unit j
+    of a layer: W is (k, n), theta and band (from tie_band) are (k,), and S holds the
+    computed sums, (m, k), or (k,) for one row. An entry within a band > 0 takes the
+    sign of the correctly rounded math.fsum of its terms, which is the exact sum's."""
+    out = sign_pm1(S)
+    X2, S2, out2 = np.atleast_2d(X, S, out)  # one row: one-row views
+    rows, units = np.nonzero((np.abs(S2) <= band) & (band > 0.0))
+    if rows.size:
+        terms = np.hstack((X2[rows] * W[units], -theta[units, None]))
+        out2[rows, units] = [1.0 if math.fsum(t) >= 0.0 else -1.0 for t in terms.tolist()]
+    return out
 
 
 class ThresholdHandle:
     """The handle of h(x) = sign(x.w - theta), with sign(0) = +1, exact on
-    every row: a row whose computed x.w - theta lies within tie_band of 0
-    takes the sign from exact_signs, so a row's label does not depend on
-    the batch it is evaluated in. chow_exact counts its coefficients from
-    (w, theta) instead of calling it. ||w||_1 + |theta| must be finite.
+    every row by threshold_signs, so a row's label does not depend on the
+    batch it is evaluated in. chow_exact counts its coefficients from
+    (w, theta), calling it only on rows whose sums lie within the band.
+    ||w||_1 + |theta| must be finite.
     """
 
     def __init__(self, w: np.ndarray, theta: float):
@@ -198,12 +202,7 @@ class ThresholdHandle:
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         s = X @ self.w - self.theta
-        out = np.where(s >= 0.0, 1.0, -1.0)
-        if self.band:
-            near = np.abs(s) <= self.band
-            if near.any():
-                out[near] = exact_signs(X[near], self.w, self.theta)
-        return out
+        return threshold_signs(X, s[..., None], self.w[None], np.array([self.theta]), np.array([self.band]))[..., 0]
 
 
 def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
@@ -220,8 +219,8 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     sb = sb[order]
     t = f.theta - A @ f.w[:na]
     # Pairs of a with the b-halves at sorted positions from hi on are rows
-    # labelled +1, those before lo -1; exact_signs decides the pairs between,
-    # whose sums lie within the band.
+    # labelled +1, those before lo -1; the handle labels the pairs between,
+    # whose sums lie within the band, in slices of at most _MC_CHUNK_CELLS cells.
     lo = np.searchsorted(sb, t - f.band, "left")
     hi = np.searchsorted(sb, t + f.band, "right") if f.band else lo
     up_a = len(sb) - hi
@@ -230,7 +229,10 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     if width.any():
         a = np.repeat(np.arange(len(t)), width)
         j = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
-        up = exact_signs(np.hstack((A[a], B[order[j]])), f.w, f.theta) > 0.0
+        up, step = np.empty(len(a), dtype=bool), max(1, _MC_CHUNK_CELLS // n)
+        for k in range(0, len(a), step):
+            ak, jk = a[k : k + step], j[k : k + step]
+            up[k : k + step] = f(np.hstack((A[ak], B[order[jk]]))) > 0.0
         up_a += np.bincount(a[up], minlength=len(t))
         up_b += np.bincount(j[up], minlength=len(sb))
     by_b = np.empty_like(up_b)

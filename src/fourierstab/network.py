@@ -4,8 +4,10 @@ The first layer is the unit of stabilization: unit j realizes the
 linear-threshold function with w = W1[j] and theta = -b1[j]. The prediction
 statistic, the margin, is the output layer's score minus the activation
 midpoint (0.5 for logistic, 0 otherwise), so label = sign(margin) with
-sign(0) = +1. Every evaluation of a network goes through BinaryMlp's
-preactivation and head, except train_sgd's steps, which work on raw arrays.
+sign(0) = +1; a sign network's labels, hidden and output, are exact signs
+(fourier.threshold_signs). Every evaluation of a network goes through
+BinaryMlp's preactivation and head, except train_sgd's steps, which work on
+raw arrays.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ChowEstimate, ExactChow, MonteCarloChow, exact_signs, rounding_band
-from .neuron import LinearThresholdNeuron, PNorm, norm, sign_pm1, stabilize
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow, sign_pm1, threshold_signs, tie_band
+from .neuron import LinearThresholdNeuron, PNorm, norm, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
 
@@ -111,18 +114,17 @@ class BinaryMlp:
 
     def hidden(self, X: np.ndarray) -> np.ndarray:
         """Hidden activations, for a batch or one input, in the pre-activations'
-        buffer. A sign unit decides each pre-activation within rounding_band
-        of 0, where the computed sign may err, by exact_signs, so it labels
-        every input as first_layer_ltf's handle does."""
+        buffer, except for sign units: fourier.threshold_signs decides those,
+        so each labels every input as first_layer_ltf's handle does."""
         Z = self.preactivation(X)
         if self.act is not Activation.SIGN:
             return self.act.apply(Z, out=Z)
-        near = np.abs(Z) <= rounding_band(self.n, np.abs(self.W1).sum(axis=1) + np.abs(self.b1))
-        A = sign_pm1(Z)
-        X2, A2, near2 = np.atleast_2d(X, A, near)  # one input: one-row views
-        for j in np.flatnonzero(near2.any(axis=0)):
-            A2[near2[:, j], j] = exact_signs(X2[near2[:, j]], self.W1[j], -self.b1[j])
-        return A
+        return threshold_signs(X, Z, self.W1, -self.b1, self._sign_bands)
+
+    @cached_property
+    def _sign_bands(self) -> np.ndarray:
+        """tie_band of each first-layer unit, once per model: it costs several forward passes."""
+        return tie_band(self.W1, -self.b1)
 
     def head(self, A: np.ndarray) -> np.ndarray:
         """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""
@@ -133,10 +135,15 @@ class BinaryMlp:
         return self.head(self.hidden(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """sign(margin), with sign(0) = +1. A sign network's output unit is a threshold
+        unit of its +-1 activations, decided by fourier.threshold_signs as the hidden ones are."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.n:
             raise DimensionError(f"input dimension {X.shape[-1]} != {self.n}")
-        return sign_pm1(self.margin(X))
+        if self.act is not Activation.SIGN:
+            return sign_pm1(self.margin(X))
+        A, W, theta = self.hidden(X), self.W2[None], np.array([-self.b2])
+        return threshold_signs(A, self.head(A)[..., None], W, theta, tie_band(W, theta))[..., 0]
 
 
 def fresh_mask(t: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError
-from .fourier import ChowEstimate, ThresholdHandle, cube_mean, disagreement_exact  # noqa: F401  (re-exported)
+from .fourier import ChowEstimate, ThresholdHandle, cube_mean, disagreement_exact, sign_pm1  # noqa: F401  (re-exported)
 
 # Best known Berry-Esseen constants, and the term rho = 4*pi*C1 / (3*sqrt(3)) of the p > 1 bound.
 C0 = 0.47
@@ -54,10 +54,6 @@ def norm(v: np.ndarray, p: float) -> float:
         return top
     scale = 1.0 if abs(p * math.log2(top)) < 900.0 else top
     return scale * float(np.sum((v / scale) ** p) ** (1.0 / p))
-
-
-def sign_pm1(z: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)

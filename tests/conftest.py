@@ -37,22 +37,29 @@ def random_ltf(rng, n, zero_free=True, with_bias=True):
 def ltf_units(n, kind):
     """Hypothesis strategy for threshold units on n inputs: Gaussian weights and
     threshold, one-decimal weights and threshold (sums that are ties in decimal
-    land within a rounding error of 0), or +-1 weights with an integer threshold
-    (exact sums, ties wherever x.w = theta)."""
+    land within a rounding error of 0), the weights (0.1, 0.2, 0.3, -0.6) tiled
+    to n, permuted and sign-flipped, with a one-decimal threshold (such ties on
+    a large share of the cube), or +-1 weights with an integer threshold (exact
+    sums, ties wherever x.w = theta)."""
+    tenths = st.integers(-10, 10).map(lambda k: k / 10)
     if kind == "gaussian":
         return st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
             lambda g: LinearThresholdNeuron(g.normal(size=n), float(g.normal(scale=0.5))))
     if kind == "one-decimal":
-        tenths = st.integers(-10, 10).map(lambda k: k / 10)
         weights = st.lists(tenths, min_size=n, max_size=n).filter(any)
         return st.builds(LinearThresholdNeuron, weights.map(np.array), tenths)
+    if kind == "tiled":
+        tiled = np.resize([0.1, 0.2, 0.3, -0.6], n)
+        flips = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+        weights = st.builds(lambda order, flip: tiled[order] * flip, st.permutations(range(n)), flips)
+        return st.builds(LinearThresholdNeuron, weights, tenths)
     if kind == "pm1":
         weights = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
         return st.builds(LinearThresholdNeuron, weights.map(np.array), st.integers(-n - 1, n + 1).map(float))
     raise ValueError(kind)
 
 
-LTF_KINDS = ("gaussian", "one-decimal", "pm1")
+LTF_KINDS = ("gaussian", "one-decimal", "tiled", "pm1")
 
 
 @pytest.fixture

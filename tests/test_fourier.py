@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LTF_KINDS, constant, dictator, ltf_units, majority3, random_ltf
@@ -23,6 +24,7 @@ from fourierstab.fourier import (
     mc_sample_count,
     parity,
     plancherel_inner,
+    tie_band,
 )
 from fourierstab.neuron import (
     LinearThresholdNeuron,
@@ -155,6 +157,66 @@ class TestThresholdCounting:
         assert np.count_nonzero(np.abs(s) <= fourier.tie_band(nrn.w, 0.0)) > 1000
         h = nrn.handle()
         assert same_bits(chow_exact(h, 16), chow_exact(enumerated(h), 16))
+
+    def test_band_pairs_are_decided_in_bounded_memory(self):
+        # At n = 20 this unit has about 51,500 band pairs; built all at once
+        # (pairs x n cells, then a list of Python floats) they took 54 MB.
+        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 20), 0.0).handle()
+        tracemalloc.start()
+        try:
+            counted = chow_exact(h, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert same_bits(counted, chow_exact(enumerated(h), 20))
+
+
+# Kinds of float for the weights and threshold of one unit.
+TERMS = {
+    "integer": st.integers(-20, 20).map(float),
+    "large-integer": st.integers(-(2**51), 2**51).map(float),  # sums on either side of 2^53
+    "one-decimal": st.integers(-10, 10).map(lambda k: k / 10),
+    "dyadic": st.builds(lambda m, e: m * 2.0**e, st.integers(-64, 64), st.integers(-60, 60)),
+    "subnormal": st.integers(-1000, 1000).map(lambda k: k * 5e-324),
+    "gaussian": st.floats(-1e300, 1e300, allow_subnormal=False).map(lambda v: v / 16),
+}
+
+
+def layers():
+    """Up to 5 units on 1 to 9 inputs, as rows of n weights and a threshold of one kind of float."""
+    def rows(n):
+        row = st.sampled_from(sorted(TERMS)).flatmap(lambda kind: st.lists(TERMS[kind], min_size=n + 1, max_size=n + 1))
+        return st.lists(row, min_size=1, max_size=5)
+
+    return st.integers(1, 9).flatmap(rows)
+
+
+def exact_in_floats(terms):
+    """Whether every sum of the terms is a float: all are multiples of one 2^low
+    with sum |terms| below 2^(53+low)."""
+    ratios = [Fraction(v) for v in terms if v]
+    if not ratios:
+        return True
+    low = min((r.numerator & -r.numerator).bit_length() - r.denominator.bit_length() for r in ratios)
+    return sum(abs(r) for r in ratios) < Fraction(2) ** (53 + low)
+
+
+class TestTieBand:
+    @settings(max_examples=60, deadline=None)
+    @given(layers())
+    # Sums of |terms| just below and at 2^53 ulps of the lowest bit, in integers and in subnormals.
+    @example([[s * 2.0**52, s * (2.0**52 - 1), s * d] for s in (1.0, 5e-324) for d in (0.0, 1.0)])
+    def test_layer_bands_are_the_units_bands(self, rows):
+        T = np.array(rows)
+        W, theta = T[:, :-1], T[:, -1]
+        band = tie_band(W, theta)
+        units = [tie_band(W[j], theta[j]) for j in range(len(T))]
+        assert band.shape == theta.shape and band.tobytes() == np.array(units).tobytes()
+        for j, row in enumerate(rows):
+            reach = float(np.abs(W[j]).sum()) + abs(theta[j])
+            expected = 0.0 if exact_in_floats(row) else 2.0 * (W.shape[1] + 1) * np.finfo(np.float64).eps * reach
+            assert np.float64(units[j]).tobytes() == np.float64(expected).tobytes()
 
 
 class TestChowMc:

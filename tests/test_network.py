@@ -3,6 +3,7 @@ import re
 import string
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,41 @@ class TestForward:
         assert labels.tolist() == sign_pm1(net.margin(X)).tolist()
         for x, lbl in zip(X, labels):
             assert net.predict(x[None, :]).tolist() == [lbl]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_sign_net_output_is_the_exact_sign_of_its_head(self, data):
+        # With sign units the head A.W2 + b2 is a sum of +-W2_j and b2; in decimal
+        # it ties at 0 on some rows, where BLAS's sign of the float sum may err.
+        net = data.draw(one_decimal_sign_nets())
+        X = cube_chunk(net.n, 0, 1 << net.n)
+        A = [[exact_sign([*(x * w), b]) for w, b in zip(net.W1, net.b1)] for x in X]
+        np.testing.assert_array_equal(net.predict(X), [exact_sign([*(a * net.W2), net.b2]) for a in np.array(A)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_sign_net_labels_each_row_alone_as_in_its_batch(self, data):
+        net = data.draw(one_decimal_sign_nets())
+        X = cube_chunk(net.n, 0, 1 << net.n)
+        batch = net.predict(X)
+        assert [net.predict(x) for x in X] == [net.predict(x[None])[0] for x in X] == batch.tolist()
+
+
+def exact_sign(terms):
+    """The sign of the exact sum of float terms, with sign(0) = +1."""
+    return 1.0 if sum(map(Fraction, terms)) >= 0 else -1.0
+
+
+def one_decimal_sign_nets():
+    """Sign networks on n <= 8 inputs with one-decimal weights and biases in both layers."""
+    tenths = st.integers(-10, 10).map(lambda k: k / 10)
+
+    def nets(n, t):
+        vectors = st.lists(tenths, min_size=t * (n + 2) + 1, max_size=t * (n + 2) + 1).map(np.array)
+        return vectors.map(lambda v: BinaryMlp(v[: t * n].reshape(t, n), v[t * n : t * n + t], Activation.SIGN,
+                                               v[t * n + t : -1], float(v[-1]), fresh_mask(t)))
+
+    return st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(lambda nt: nets(*nt))
 
 
 class TestBinaryMlp:
