@@ -32,7 +32,7 @@ import numpy as np
 from . import selection, uniformize
 from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import CELL_CAP, DEFAULT_ENUMERATION_CAP, ExactChow, MonteCarloChow
+from .fourier import CELL_CAP, ExactChow, MonteCarloChow
 from .network import (
     RESCALE_MODES,
     Activation,
@@ -162,7 +162,7 @@ def _p_norm(finite: bool = False):
 
 def _chow_source(args):
     if args.chow_mode == "exact":
-        return ExactChow(cap=args.cap)
+        return ExactChow()
     return MonteCarloChow(epsilon=args.chow_epsilon, delta=args.chow_delta, seed=args.chow_seed)
 
 
@@ -171,9 +171,6 @@ def _add_chow_flags(sp):
     sp.add_argument("--chow-epsilon", type=_number(float, 0.0, lo_open=True), default=0.05)
     sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
     sp.add_argument("--chow-seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                    help="largest n for exact Chow parameters; above it, or for a threshold unit "
-                         "on 39 or more inputs, --chow-mode exact exits 6")
 
 
 def _load_split(prefix: str, split: str) -> LabeledDataset:

@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class CapacityError(ValueError):
-    """The requested dimension exceeds the exact-enumeration cap."""
+    """A request would exceed a bound on cube rows, matrix cells, band pairs or Monte-Carlo samples."""
 
 
 class DegenerateFunctionError(ValueError):

@@ -11,25 +11,24 @@ Exact sweeps enumerate the cube in canonical order, in chunks of at most
 threshold_signs decides every sign of a threshold sum x.w - theta exactly:
 in a unit's handle, ThresholdHandle, in its counting's band pairs, and in
 network's sign layers. A unit's exact Chow parameters are counted over two
-half-cubes of about 2^(n/2) rows, not enumerated over the 2^n-row cube; a
-unit whose larger half-cube would exceed CELL_CAP cells (n >= 39) is refused.
+half-cubes of about 2^(n/2) rows, not enumerated over the 2^n-row cube, and
+refused only for the work counting would do: a larger half-cube over CELL_CAP
+cells (n >= 39) or more than MC_SAMPLE_CAP band pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
 
-# Exact Chow parameters refuse n above the cap. At n = 22 a threshold unit
-# counts over two half-cubes of 2^11 rows (about 0.2 MB each, about a
-# millisecond); any other handle enumerates 2^22 rows in 64 chunks of 2^16
-# (8 MB each, about a second). A raised cap does not lift CELL_CAP: counting
-# refuses a threshold unit on 39 or more inputs. At n = 38 it takes about a
-# second and peaks near 250 MB.
+# Enumeration refuses a cube of more inputs: 2^22 rows go in 64 chunks of 2^16
+# (8 MB each, about a second). A threshold unit is counted instead, which does
+# not enumerate: about a millisecond at n = 22, and about a second, peaking
+# near 250 MB, for a Gaussian unit at n = 38.
 DEFAULT_ENUMERATION_CAP = 22
 
 # The largest float64 matrix a command builds from its flags or input: 2^24
@@ -37,12 +36,11 @@ DEFAULT_ENUMERATION_CAP = 22
 # k = n - n//2 columns, would exceed it.
 CELL_CAP = 1 << 24
 
-# Monte-Carlo estimation refuses to draw more samples than exact enumeration
-# at the default cap would visit.
+# Monte-Carlo estimation draws at most the rows enumeration at its cap visits,
+# and counting labels at most as many band pairs (about 1.5 us each).
 MC_SAMPLE_CAP = 1 << DEFAULT_ENUMERATION_CAP
 
-# Inputs are enumerated in chunks so the cap can be raised without
-# materializing a 2^n-by-n matrix all at once.
+# Inputs are enumerated in chunks, not as one 2^n-by-n matrix.
 _CHUNK_BITS = 16
 
 # Monte-Carlo samples and counting's band pairs go in chunks of at most this
@@ -62,14 +60,10 @@ def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
     return 1.0 - 2.0 * ((k[:, None] >> np.arange(n, dtype=np.int64)) & 1)
 
 
-def _require_cap(n: int, cap: int) -> None:
+def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Yield the full cube as (m, n) chunks in canonical order; n over cap raises CapacityError."""
     if n > cap:
         raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
-
-
-def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield the full cube as (m, n) chunks in canonical order."""
-    _require_cap(n, cap)
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
@@ -130,11 +124,11 @@ def mc_sample_count(n: int, epsilon: float, delta: float) -> int | float:
     return math.ceil(m) if m < math.inf else math.inf
 
 
-def cube_mean(g, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+def cube_mean(g, n: int):
     """E_x over the cube of a scalar or vector quantity, where g maps an (m, n)
     chunk of cube rows to the quantity's sum over that chunk."""
     total = 0.0
-    for X in enumerate_cube(n, cap):
+    for X in enumerate_cube(n):
         total = total + g(X)
     return total / float(1 << n)
 
@@ -219,37 +213,37 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     sb = sb[order]
     t = f.theta - A @ f.w[:na]
     # Pairs of a with the b-halves at sorted positions from hi on are rows
-    # labelled +1, those before lo -1; the handle labels the pairs between,
-    # whose sums lie within the band, in slices of at most _MC_CHUNK_CELLS cells.
+    # labelled +1, those before lo -1; the handle labels the band pairs
+    # between, numbered a-row by a-row, in slices of at most _MC_CHUNK_CELLS cells.
     lo = np.searchsorted(sb, t - f.band, "left")
     hi = np.searchsorted(sb, t + f.band, "right") if f.band else lo
     up_a = len(sb) - hi
     up_b = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]  # by sorted position
-    width = hi - lo
-    if width.any():
-        a = np.repeat(np.arange(len(t)), width)
-        j = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
-        up, step = np.empty(len(a), dtype=bool), max(1, _MC_CHUNK_CELLS // n)
-        for k in range(0, len(a), step):
-            ak, jk = a[k : k + step], j[k : k + step]
-            up[k : k + step] = f(np.hstack((A[ak], B[order[jk]]))) > 0.0
-        up_a += np.bincount(a[up], minlength=len(t))
-        up_b += np.bincount(j[up], minlength=len(sb))
+    ends = np.cumsum(hi - lo)
+    if ends[-1] > MC_SAMPLE_CAP:
+        raise CapacityError(f"n={n} has {ends[-1]} band pairs, over the cap of {MC_SAMPLE_CAP}")
+    step = max(1, _MC_CHUNK_CELLS // n)
+    for k in range(0, ends[-1], step):
+        q = np.arange(k, min(k + step, ends[-1]))
+        a = np.searchsorted(ends, q, "right")
+        j = q - ends[a] + hi[a]
+        up = f(np.hstack((A[a], B[order[j]]))) > 0.0
+        np.add.at(up_a, a[up], 1)
+        np.add.at(up_b, j[up], 1)
     by_b = np.empty_like(up_b)
     by_b[order] = up_b
     label_a, label_b = 2 * up_a - len(sb), 2 * by_b - len(t)
     return np.concatenate(([label_a.sum()], label_a @ A, label_b @ B))
 
 
-def chow_exact(f, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> ChowEstimate:
-    """Exact degree-<=1 coefficients (n <= cap): counted for a ThresholdHandle
-    on n inputs, by full enumeration for any other handle. Both sum integers,
-    so both give the same bits."""
-    _require_cap(n, cap)
+def chow_exact(f, n: int) -> ChowEstimate:
+    """Exact degree-<=1 coefficients: counted for a ThresholdHandle on n
+    inputs, by full enumeration (n <= DEFAULT_ENUMERATION_CAP) for any other
+    handle. Both sum integers, so both give the same bits."""
     if isinstance(f, ThresholdHandle) and f.w.size == n:
         h = _threshold_chow_sums(f, n) / float(1 << n)
     else:
-        h = cube_mean(lambda X: _chow_sum(f, X), n, cap)
+        h = cube_mean(lambda X: _chow_sum(f, X), n)
     return ChowEstimate(n=n, h_empty=float(h[0]), h_vec=h[1:], mode="exact")
 
 
@@ -313,8 +307,6 @@ def chow_all(f, n: int, cap: int = 16) -> np.ndarray:
     Intended for small-n identity checks (Parseval, Plancherel); a fast
     Walsh-Hadamard transform of the truth table, O(n 2^n).
     """
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds full-transform cap {cap}")
     c = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n, cap)])
     # chi_S(x_k) = (-1)^popcount(k & S) under the canonical bit encoding, so
     # each pass folds bit j of the input index into bit j of the subset index.
@@ -328,10 +320,8 @@ def chow_all(f, n: int, cap: int = 16) -> np.ndarray:
 class ExactChow:
     """Chow-parameter source backed by chow_exact."""
 
-    cap: int = DEFAULT_ENUMERATION_CAP
-
     def estimate(self, f, n: int, key: int = 0) -> ChowEstimate:
-        return chow_exact(f, n, cap=self.cap)
+        return chow_exact(f, n)
 
 
 @dataclass(frozen=True)

@@ -384,11 +384,15 @@ def read_table(path, lines: Iterable[str], delimiter: Optional[str] = ",", comme
 
 
 def read_document(path, tag: str) -> dict:
-    """The fields of a document written by write_document with this tag."""
+    """The fields of a document written by write_document with this tag; a repeated key raises SchemaError."""
     lines = list(read_lines(path))
     if not lines or lines[0] != f"# {tag}":
         raise SchemaError(f"{path}: missing '# {tag}' header")
-    return dict(ln.partition("=")[::2] for ln in lines[1:] if ln)
+    fields = [ln.partition("=")[::2] for ln in lines[1:] if ln]
+    kv = dict(fields)
+    if len(kv) < len(fields):
+        raise SchemaError(f"{path}: a field is given twice")
+    return kv
 
 
 def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
@@ -403,17 +407,20 @@ def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
 def load_model(path) -> BinaryMlp:
     kv = read_document(path, "binary-mlp v1")
     try:
-        n, t = int(kv["n"]), int(kv["t"])
-        act = Activation(kv["activation"])
-        b2, W2, b1 = float(kv["b2"]), floats(kv["W2"]), floats(kv["b1"])
-        mask = np.array([{"0": False, "1": True}[c] for c in kv["stabilized_mask"].split(",")])
-        W1 = np.array([floats(kv[f"W1.{j}"]) for j in range(t)])
+        n, t = int(kv.pop("n")), int(kv.pop("t"))
+        act = Activation(kv.pop("activation"))
+        b2, W2, b1 = float(kv.pop("b2")), floats(kv.pop("W2")), floats(kv.pop("b1"))
+        mask = np.array([{"0": False, "1": True}[c] for c in kv.pop("stabilized_mask").split(",")])
+        W1 = np.array([floats(kv.pop(f"W1.{j}")) for j in range(t)])
+        seed_lineage = kv.pop("seed_lineage", "")
+        if kv:
+            raise ValueError(f"unknown field(s) {sorted(kv)}")
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
     if W1.shape != (t, n):
         raise SchemaError(f"{path}: W1 shape {W1.shape} != ({t}, {n})")
     try:
-        return BinaryMlp(W1, b1, act, W2, b2, mask, seed_lineage=kv.get("seed_lineage", ""))
+        return BinaryMlp(W1, b1, act, W2, b2, mask, seed_lineage=seed_lineage)
     except ValueError as exc:
         raise SchemaError(f"{path}: invalid model ({exc})") from exc
 

@@ -119,8 +119,10 @@ def save_covariance_model(model: CovarianceModel, path) -> None:
 def load_covariance_model(path) -> CovarianceModel:
     kv = read_document(path, "covariance-model v1")
     try:
-        mean, D, thresholds = (floats(kv[k]) for k in ("mean", "D", "thresholds"))
-        U = np.array([floats(kv[f"U.{j}"]) for j in range(int(kv["d"]))])
+        mean, D, thresholds = (floats(kv.pop(k)) for k in ("mean", "D", "thresholds"))
+        U = np.array([floats(kv.pop(f"U.{j}")) for j in range(int(kv.pop("d")))])
+        if kv:
+            raise ValueError(f"unknown field(s) {sorted(kv)}")
         with np.errstate(all="ignore"):  # the model refuses a non-finite product
             C = U @ np.diag(D) @ U.T
         return CovarianceModel(mean=mean, C=C, U=U, D=D, thresholds=thresholds)

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ class TestTrainChowStabilize:
                              np.ones(1), 0.0, fresh_mask(1)), model)
         assert run("chow", "--model", model, "--unit", 0, "--out", out) == EXIT_OK
         assert out.read_text() == (
-            "# config: cmd=chow cap=22 chow_delta=0.01 chow_epsilon=0.05 chow_mode=exact "
+            "# config: cmd=chow chow_delta=0.01 chow_epsilon=0.05 chow_mode=exact "
             f"chow_seed=0 model={model} unit=0\n"
             "coefficient,value\n"
             "empty,0.25\n"
@@ -283,25 +284,40 @@ class TestTrainChowStabilize:
             "# mode=exact samples=0 epsilon=0.0 delta=0.0\n"
         )
 
-    def test_exact_chow_cap(self, tmp_path):
-        # Majority on 32 inputs, with sign(0) = +1: h_empty = Pr[x.w = 0] = C(32, 16)/2^32,
-        # and h_i = Pr[the other 31 sum to -1] = C(31, 15)/2^31. Counted, it takes milliseconds.
-        for n in (23, 32, 40):
-            save_model(BinaryMlp(np.ones((1, n)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)),
-                       tmp_path / f"m{n}.txt")
-        assert run("chow", "--model", tmp_path / "m23.txt", "--unit", 0, "--out", tmp_path / "c23.csv") == EXIT_CAPACITY
-        assert run("chow", "--model", tmp_path / "m23.txt", "--unit", 0, "--cap", 22,
-                   "--out", tmp_path / "c23.csv") == EXIT_CAPACITY
-        assert not (tmp_path / "c23.csv").exists()
-        # At n = 40 the larger half-cube, 20 * 2^20 cells, is over CELL_CAP whatever the --cap.
-        assert run("chow", "--model", tmp_path / "m40.txt", "--unit", 0, "--cap", 40,
-                   "--out", tmp_path / "c40.csv") == EXIT_CAPACITY
-        assert not (tmp_path / "c40.csv").exists()
-        out = tmp_path / "c32.csv"
-        assert run("chow", "--model", tmp_path / "m32.txt", "--unit", 0, "--cap", 32, "--out", out) == EXIT_OK
-        rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
-        values = [float(ln.split(",")[1]) for ln in rows[1:]]
-        assert values == [math.comb(32, 16) / 2**32] + [math.comb(31, 15) / 2**31] * 32
+    def test_exact_chow_cap(self, tmp_path, capsys):
+        # No flag bounds n: counting answers a Gaussian unit on 23 or 32 inputs in
+        # milliseconds, with the library's bits.
+        rng = np.random.default_rng(23)
+        for n in (23, 32):
+            model, out = tmp_path / f"m{n}.txt", tmp_path / f"c{n}.csv"
+            save_model(BinaryMlp(rng.normal(size=(1, n)), rng.normal(size=1), Activation.SIGN, np.ones(1), 0.0,
+                                 fresh_mask(1)), model)
+            assert run("chow", "--model", model, "--unit", 0, "--out", out) == EXIT_OK
+            est = chow_exact(first_layer_ltf(load_model(model), 0).handle(), n)
+            rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
+            assert [float(ln.split(",")[1]) for ln in rows[1:]] == [est.h_empty, *est.h_vec]
+        # --cap is a flag of no command that estimates: it exits 2 at parse time.
+        argvs = {"chow": ["--unit", 0, "--out", "o"], "stabilize": ["--out", "o"], "bounds": ["--unit", 0, "--out", "o"],
+                 "select": ["--data", "d", "--beta", 0, "--out-model", "o", "--out-trace", "t"]}
+        for command, argv in argvs.items():
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--model", tmp_path / "m23.txt", *argv, "--cap", 22)
+            assert exc.value.code == EXIT_PARAMS
+            assert "unrecognized arguments: --cap 22" in capsys.readouterr().err
+
+    def test_select_exact_on_24_inputs(self, tmp_path):
+        prefix, model = tmp_path / "d", tmp_path / "m.txt"
+        assert run("gen-data", "--kind", "planted-ltf", "--n", 24, "--train", 200, "--val", 100, "--test", 100,
+                   "--out", prefix) == EXIT_OK
+        assert run("train", "--data", prefix, "--width", 4, "--epochs", 2, "--out", model) == EXIT_OK
+        out = tmp_path / "sel.txt"
+        assert run("select", "--model", model, "--data", prefix, "--beta", 0, "--p", 2, "--chow-mode", "exact",
+                   "--out-model", out, "--out-trace", tmp_path / "t.csv") == EXIT_OK
+        net, sel = load_model(model), load_model(out)
+        assert sel.stabilized_mask.all()
+        for j in range(net.t):
+            h_vec = chow_exact(first_layer_ltf(net, j).handle(), 24).h_vec
+            assert sel.W1[j].tolist() == stabilized_weights(h_vec, PNorm(2.0)).tolist()
 
     def test_chow_mc_uses_the_unit_seed_stream(self, workspace, tmp_path):
         _, _, model = workspace
@@ -590,10 +606,19 @@ class TestExitCodes:
         assert "Warning" not in err and "Traceback" not in err
         assert not (tmp_path / "m.txt").exists()
 
-    def test_capacity_error(self, workspace, tmp_path):
-        _, _, model = workspace
-        assert run("chow", "--model", model, "--unit", 0, "--cap", 4,
-                   "--out", tmp_path / "o.csv") == EXIT_CAPACITY
+    def test_capacity_error(self, tmp_path, capsys):
+        # A unit is refused for the work its counting would do: at n = 40 its larger
+        # half-cube, 20 * 2^20 cells, is over 2^24; the tiled one-decimal unit at
+        # n = 28 has 11,218,944 band pairs, over 2^22. No output is written.
+        units = {"half-cube": np.ones(40), "band pairs": np.resize([0.1, 0.2, 0.3, -0.6], 28)}
+        for reason, w in units.items():
+            model, out = tmp_path / "m.txt", tmp_path / "o.csv"
+            save_model(BinaryMlp(w[None], np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
+            for argv in (["chow", "--unit", 0], ["bounds", "--unit", 0], ["stabilize", "--p", 2]):
+                assert run(argv[0], "--model", model, *argv[1:], "--out", out) == EXIT_CAPACITY
+                err = capsys.readouterr().err
+                assert reason in err and "Traceback" not in err and len(err) < 120
+                assert not out.exists()
 
     def test_param_error(self, workspace, tmp_path):
         _, prefix, model = workspace
@@ -1058,11 +1083,28 @@ def test_files_are_utf8_in_any_locale(tmp_path):
 
 # --- every numeric flag at extreme values ------------------------------------
 
+def _subparsers() -> dict:
+    """command -> its parser, from build_parser()."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _numeric_flags() -> dict:
     """command -> the flags whose text the parser converts (numbers and number lists)."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {name: sorted(a.option_strings[0] for a in sp._actions if a.type is not None)
-            for name, sp in sub.choices.items()}
+            for name, sp in _subparsers().items()}
+
+
+def test_readme_names_only_parser_flags():
+    """Every --flag that README.md names, in an inline code span or a fourierstab
+    command of a code block, is a flag of some subcommand, so a removed flag
+    cannot stay documented."""
+    flags = {s for sp in _subparsers().values() for a in sp._actions for s in a.option_strings}
+    parts = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split("```")
+    spans = [span for prose in parts[::2] for span in re.findall(r"`([^`\n]+)`", prose)]
+    commands = [ln for block in parts[1::2] for ln in block.replace("\\\n", " ").splitlines()
+                if ln.startswith("fourierstab ")]
+    named = {flag for text in spans + commands for flag in re.findall(r"(?<![\w-])--[\w-]+", text)}
+    assert named and named <= flags, sorted(named - flags)
 
 
 _NUMERIC_FLAGS = _numeric_flags()

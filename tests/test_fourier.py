@@ -109,7 +109,7 @@ class TestThresholdCounting:
 
     def test_majority_on_33_inputs_in_closed_form(self):
         # An odd sum never ties: h_empty = 0, and h_i = Pr[the other 32 tie] = C(32, 16) / 2^32.
-        est = chow_exact(LinearThresholdNeuron(np.ones(33), 0.0).handle(), 33, cap=33)
+        est = chow_exact(LinearThresholdNeuron(np.ones(33), 0.0).handle(), 33)
         assert est.h_empty == 0.0
         np.testing.assert_array_equal(est.h_vec, np.full(33, math.comb(32, 16) / 2**32))
 
@@ -118,9 +118,23 @@ class TestThresholdCounting:
             raise AssertionError("a cube chunk was built")
 
         monkeypatch.setattr(fourier, "cube_chunk", no_rows)
-        for n, cap in ((23, {}), (33, {"cap": 32}), (39, {"cap": 60})):
-            with pytest.raises(CapacityError):
-                chow_exact(LinearThresholdNeuron(np.ones(n), 0.5).handle(), n, **cap)
+        for n in (39, 40, 64):
+            with pytest.raises(CapacityError, match="half-cube"):
+                chow_exact(LinearThresholdNeuron(np.ones(n), 0.5).handle(), n)
+
+    def test_band_pair_cap_before_any_pair_is_labelled(self, monkeypatch):
+        # The tiled unit has 3,598 band pairs at n = 16, and 11,218,944 (over 2^22) at n = 28.
+        h16, h28 = (LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], n), 0.0).handle() for n in (16, 28))
+        counted = chow_exact(h16, 16)
+        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: pytest.fail("a pair was labelled"))
+        with pytest.raises(CapacityError, match="band pairs"):
+            chow_exact(h28, 28)
+        monkeypatch.setattr(fourier, "MC_SAMPLE_CAP", 3_597)
+        with pytest.raises(CapacityError, match="3598 band pairs"):
+            chow_exact(h16, 16)
+        monkeypatch.undo()
+        monkeypatch.setattr(fourier, "MC_SAMPLE_CAP", 3_598)
+        assert same_bits(chow_exact(h16, 16), counted)
 
     def test_half_cube_cell_cap(self, monkeypatch):
         # A larger half of k columns has k * 2^k cells: 5 * 32 = 160 at n = 10, 6 * 64 at n = 11.
@@ -158,7 +172,7 @@ class TestThresholdCounting:
         h = nrn.handle()
         assert same_bits(chow_exact(h, 16), chow_exact(enumerated(h), 16))
 
-    def test_band_pairs_are_decided_in_bounded_memory(self):
+    def test_band_pairs_are_decided_in_bounded_memory(self, monkeypatch):
         # At n = 20 this unit has about 51,500 band pairs; built all at once
         # (pairs x n cells, then a list of Python floats) they took 54 MB.
         h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 20), 0.0).handle()
@@ -170,6 +184,25 @@ class TestThresholdCounting:
             tracemalloc.stop()
         assert peak < 8 << 20
         assert same_bits(counted, chow_exact(enumerated(h), 20))
+        # At n = 24 it has 755,056; an index and a flag array as long as their count
+        # (17 bytes a pair) peaked at 18 MB. The handle labels them by BLAS's sign here,
+        # so that tracemalloc's cost per Python float does not dominate.
+        labelled = []
+
+        def blas_sign(self, X):
+            labelled.append(len(X))
+            return fourier.sign_pm1(X @ self.w - self.theta)
+
+        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", blas_sign)
+        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 24), 0.0).handle()
+        tracemalloc.start()
+        try:
+            chow_exact(h, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(labelled) == 755_056 and max(labelled) * 24 <= 1 << 14
+        assert peak < 4 << 20
 
 
 # Kinds of float for the weights and threshold of one unit.

@@ -24,6 +24,7 @@ from fourierstab.network import (
     fresh_mask,
     load_dataset,
     load_model,
+    read_document,
     save_dataset,
     save_model,
     stabilize_subset,
@@ -458,6 +459,24 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("not a model\n")
         with pytest.raises(SchemaError):
+            load_model(path)
+
+    def test_document_field_given_twice_is_schema_error(self, tmp_path):
+        # Which of two W1.0 lines is the row cannot be told, so the document is refused.
+        path = tmp_path / "model.txt"
+        save_model(BinaryMlp(np.ones((1, 2)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), path)
+        path.write_text(path.read_text() + "W1.0=9,9\n")
+        for read in (lambda p: read_document(p, "binary-mlp v1"), load_model):
+            with pytest.raises(SchemaError, match="given twice"):
+                read(path)
+
+    @pytest.mark.parametrize("line", ["W1.7=", "bogus=", "bogus", "# a comment"])
+    def test_model_field_not_read_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "model.txt"
+        save_model(BinaryMlp(np.ones((1, 2)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), path)
+        load_model(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(SchemaError, match="unknown field"):
             load_model(path)
 
     def test_dataset_round_trip(self, rng, tmp_path):

@@ -213,6 +213,15 @@ class TestSerialization:
             b"U.1=0.80000000000000004,0.59999999999999998\n"
         )
 
+    @pytest.mark.parametrize("line", ["U.2=1,0", "C=1,0,0,1", "bogus"])
+    def test_field_not_read_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "cov.txt"
+        save_covariance_model(CovarianceModel(np.zeros(2), np.eye(2), np.eye(2), np.ones(2), np.zeros(2)), path)
+        load_covariance_model(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(SchemaError, match="unknown field"):
+            load_covariance_model(path)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")
