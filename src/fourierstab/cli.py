@@ -11,8 +11,9 @@ Files are written through network's text-format helpers, so machine-readable
 numbers carry 17 significant digits; human-readable tables on stdout use 6.
 
 Exit codes: 0 success; 2 bad parameters, from argparse when a flag is outside
-its domain, an output's directory is missing or an output path is a
-directory, before any work; otherwise main maps the exception a command
+its domain, a value holds a line break that would split the header line, an
+output's directory is missing, an output path is a directory or two outputs
+are one file, before any work; otherwise main maps the exception a command
 raises through the table _EXIT_CODES: 3 missing file, 4 schema mismatch,
 5 dimension mismatch, 6 capacity exceeded, 7 degenerate unit, 2 any other
 ValueError.
@@ -89,11 +90,15 @@ _OUTPUTS = ("out", "out_model", "out_trace")
 _NOT_CONFIG = frozenset(("command", "fn", *_OUTPUTS))
 
 
+def _flag(dest: str) -> str:
+    return f"--{dest.replace('_', '-')}"
+
+
 def _output_paths(args) -> list[tuple[str, str]]:
     """(flag, path) of every file the command writes, in the order it writes
     them; gen-data's --out is a prefix of its files."""
     if args.command != "gen-data":
-        return [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in _OUTPUTS if dest in vars(args)]
+        return [(_flag(dest), getattr(args, dest)) for dest in _OUTPUTS if dest in vars(args)]
     names = ["train.csv", "covmodel.txt"] if args.kind == "uniformize" else ["train.csv", "validation.csv", "test.csv"]
     return [("--out", f"{args.out}.{name}") for name in names]
 
@@ -130,10 +135,11 @@ def _number(convert=float, lo=-math.inf, hi=math.inf, lo_open=False, hi_open=Fal
     return number
 
 
-def _numbers(convert=float, word=None):
-    """argparse type of comma-separated finite numbers read by convert, or of word
-    alone, kept as given so the config header records it unchanged."""
-    number = _number(convert)
+def _numbers(convert=float, word=None, lo=-math.inf):
+    """argparse type of comma-separated finite numbers of at least lo read by
+    convert, or of word alone, kept as given so the config header records it
+    unchanged."""
+    number = _number(convert, lo)
 
     def numbers(text: str) -> str:
         for part in text.split(",") if text != word else ():
@@ -170,7 +176,7 @@ def _add_chow_flags(sp):
     sp.add_argument("--chow-mode", choices=["exact", "mc"], default="exact")
     sp.add_argument("--chow-epsilon", type=_number(float, 0.0, lo_open=True), default=0.05)
     sp.add_argument("--chow-delta", type=_number(float, 0.0, 1.0, lo_open=True, hi_open=True), default=0.01)
-    sp.add_argument("--chow-seed", type=int, default=0)
+    sp.add_argument("--chow-seed", type=_number(int, 0), default=0)
 
 
 def _load_split(prefix: str, split: str) -> LabeledDataset:
@@ -226,6 +232,8 @@ def _gen_data_uniformize(args) -> None:
     labels = read_table(args.labels, read_lines(args.labels), None, "#") if args.labels else np.ones((m, 1))
     if labels.shape != (m, 1):
         raise DimensionError(f"{args.labels}: {labels.shape[0]}x{labels.shape[1]} labels for {m} input rows")
+    if not np.isin(labels, (-1.0, 1.0)).all():
+        raise SchemaError(f"{args.labels}: a label is not -1 or +1")
     try:
         model = uniformize.fit(raw)
     except ValueError as exc:  # too few rows, or a non-finite sample or covariance: the input's fault
@@ -233,7 +241,7 @@ def _gen_data_uniformize(args) -> None:
     model.validate()
     bits = uniformize.binarize(model, raw)
     (_, path), (_, cov_path) = _output_paths(args)
-    save_dataset(LabeledDataset(bits, sign_pm1(labels[:, 0]), split="train"), path, _config_header(args))
+    save_dataset(LabeledDataset(bits, labels[:, 0], split="train"), path, _config_header(args))
     uniformize.save_covariance_model(model, cov_path)
     print(f"wrote {path} and {cov_path} (d={model.d}, m={m})")
 
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--test", type=_number(int, 1), default=500)
     sp.add_argument("--noise", type=_number(float, 0.0, 1.0), default=0.0)
     sp.add_argument("--teacher-width", type=_number(int, 1), default=8)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.add_argument("--input", help="real-valued CSV matrix (uniformize only)")
     sp.add_argument("--labels", help="optional +-1 label file, one per row (uniformize only)")
     sp.add_argument("--out", required=True, help="output path prefix")
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--epochs", type=_number(int, 0), default=20)
         sp.add_argument("--lr", type=_number(float, 0.0), default=0.5)
         sp.add_argument("--batch-size", type=_number(int, 1), default=64)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_number(int, 0), default=0)
         sp.add_argument("--out", required=True)
         if name == "adv-train":
             sp.add_argument("--at-epochs", type=_number(int, 0), default=2)
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True, help="dataset path prefix (validation split used)")
     sp.add_argument("--algorithm", choices=["gmb", "gmbc", "gmb-fast"], default="gmb")
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_number(float, 0.0, 1.0), required=True)
     sp.add_argument("--a-bar", type=_number(float, 0.0, lo_open=True), default=None)
     sp.add_argument("--p", type=_p_norm(), default="1")
     sp.add_argument("--rescale", choices=RESCALE_MODES, default=RESCALE_MODES[0])
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilon", type=_number(float), required=True)
+    sp.add_argument("--epsilon", type=_number(float, 0.0), required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_attack)
 
@@ -443,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test")
-    sp.add_argument("--epsilons", type=_numbers(), required=True, help="comma-separated l1 budgets")
+    sp.add_argument("--epsilons", type=_numbers(lo=0.0), required=True, help="comma-separated l1 budgets")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_eval)
 
@@ -463,12 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest in sorted(vars(args).keys() - _NOT_CONFIG):
+        text = _config_value(getattr(args, dest))
+        if "".join(text.splitlines()) != text:
+            parser.error(f"argument {_flag(dest)}: a line break would split the '# config:' line")
+    written = {}
     for flag, path in _output_paths(args):
         directory = os.path.dirname(path) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             parser.error(f"argument {flag}: no writable directory {directory!r}")
         if os.path.isdir(path):
             parser.error(f"argument {flag}: is a directory: {path!r}")
+        real = os.path.realpath(path)
+        if real in written:
+            parser.error(f"argument {flag}: {path!r} is the same file as {written[real]!r}")
+        written[real] = path
     try:
         args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

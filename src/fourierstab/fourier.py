@@ -5,15 +5,16 @@ an (m, n) array with entries in {-1, +1} to an (m,) array of outputs.
 Boolean-valued handles return exactly +-1; real-valued handles (for example
 a sigmoid unit) may return anything in [-1, 1].
 
-Exact sweeps enumerate the cube in canonical order, in chunks of at most
-2^16 rows built afresh from the bits of each row's index.
+Every pass over rows, enumeration of the cube in canonical order, Monte-Carlo
+draws and counting's band pairs, takes its chunks from one rule, _chunks, and
+visits at most ROW_CAP rows.
 
 threshold_signs decides every sign of a threshold sum x.w - theta exactly:
 in a unit's handle, ThresholdHandle, in its counting's band pairs, and in
 network's sign layers. A unit's exact Chow parameters are counted over two
 half-cubes of about 2^(n/2) rows, not enumerated over the 2^n-row cube, and
 refused only for the work counting would do: a larger half-cube over CELL_CAP
-cells (n >= 39) or more than MC_SAMPLE_CAP band pairs.
+cells (n >= 39) or more than ROW_CAP band pairs.
 """
 
 from __future__ import annotations
@@ -25,30 +26,29 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 
-# Enumeration refuses a cube of more inputs: 2^22 rows go in 64 chunks of 2^16
-# (8 MB each, about a second). A threshold unit is counted instead, which does
-# not enumerate: about a millisecond at n = 22, and about a second, peaking
-# near 250 MB, for a Gaussian unit at n = 38.
-DEFAULT_ENUMERATION_CAP = 22
-
 # The largest float64 matrix a command builds from its flags or input: 2^24
 # cells, 128 MiB. Counting refuses a unit whose larger half-cube, 2^k rows of
 # k = n - n//2 columns, would exceed it.
 CELL_CAP = 1 << 24
 
-# Monte-Carlo estimation draws at most the rows enumeration at its cap visits,
-# and counting labels at most as many band pairs (about 1.5 us each).
-MC_SAMPLE_CAP = 1 << DEFAULT_ENUMERATION_CAP
+# The most rows one pass visits: the 2^22 rows of an enumerated cube (n <= 22),
+# Monte-Carlo samples, or counting's band pairs (about 1.5 us each). A threshold
+# unit is counted, not enumerated: about a millisecond at n = 22, and about a
+# second, peaking near 250 MB, for a Gaussian unit at n = 38.
+ROW_CAP = 1 << 22
 
-# Inputs are enumerated in chunks, not as one 2^n-by-n matrix.
-_CHUNK_BITS = 16
+# Every pass goes in chunks of at most this many cells (rows times n), so each
+# chunk's arrays (128 KB) are reused from the heap. Arrays of megabytes go back
+# to the OS when freed and are page-faulted in again on the next call; much
+# smaller chunks cost more in per-chunk calls than they save.
+_CHUNK_CELLS = 1 << 14
 
-# Monte-Carlo samples and counting's band pairs go in chunks of at most this
-# many cells (rows times n), so each chunk's arrays (128 KB) are reused from the heap.
-# Arrays of megabytes go back to the OS when freed and are page-faulted in
-# again on the next call; much smaller chunks cost more in per-chunk calls
-# than they save.
-_MC_CHUNK_CELLS = 1 << 14
+
+def _chunks(m: int, n: int):
+    """(start, stop) spans of rows 0..m in order, each of at most _CHUNK_CELLS
+    cells of n columns, and of one row at least."""
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    return ((start, min(start + step, m)) for start in range(0, m, step))
 
 
 def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
@@ -60,14 +60,12 @@ def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
     return 1.0 - 2.0 * ((k[:, None] >> np.arange(n, dtype=np.int64)) & 1)
 
 
-def enumerate_cube(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield the full cube as (m, n) chunks in canonical order; n over cap raises CapacityError."""
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
-    total = 1 << n
-    step = min(total, 1 << _CHUNK_BITS)
-    for start in range(0, total, step):
-        yield cube_chunk(n, start, min(start + step, total))
+def enumerate_cube(n: int):
+    """Yield the full cube as (m, n) chunks in canonical order; more than ROW_CAP rows raise CapacityError."""
+    if 1 << n > ROW_CAP:
+        raise CapacityError(f"n={n} has {1 << n} rows, over the cap of {ROW_CAP}")
+    for start, stop in _chunks(1 << n, n):
+        yield cube_chunk(n, start, stop)
 
 
 @dataclass(frozen=True)
@@ -214,17 +212,16 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     t = f.theta - A @ f.w[:na]
     # Pairs of a with the b-halves at sorted positions from hi on are rows
     # labelled +1, those before lo -1; the handle labels the band pairs
-    # between, numbered a-row by a-row, in slices of at most _MC_CHUNK_CELLS cells.
+    # between, numbered a-row by a-row, in _chunks.
     lo = np.searchsorted(sb, t - f.band, "left")
     hi = np.searchsorted(sb, t + f.band, "right") if f.band else lo
     up_a = len(sb) - hi
     up_b = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]  # by sorted position
     ends = np.cumsum(hi - lo)
-    if ends[-1] > MC_SAMPLE_CAP:
-        raise CapacityError(f"n={n} has {ends[-1]} band pairs, over the cap of {MC_SAMPLE_CAP}")
-    step = max(1, _MC_CHUNK_CELLS // n)
-    for k in range(0, ends[-1], step):
-        q = np.arange(k, min(k + step, ends[-1]))
+    if ends[-1] > ROW_CAP:
+        raise CapacityError(f"n={n} has {ends[-1]} band pairs, over the cap of {ROW_CAP}")
+    for start, stop in _chunks(ends[-1], n):
+        q = np.arange(start, stop)
         a = np.searchsorted(ends, q, "right")
         j = q - ends[a] + hi[a]
         up = f(np.hstack((A[a], B[order[j]]))) > 0.0
@@ -238,7 +235,7 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
 
 def chow_exact(f, n: int) -> ChowEstimate:
     """Exact degree-<=1 coefficients: counted for a ThresholdHandle on n
-    inputs, by full enumeration (n <= DEFAULT_ENUMERATION_CAP) for any other
+    inputs, by full enumeration (at most ROW_CAP rows) for any other
     handle. Both sum integers, so both give the same bits."""
     if isinstance(f, ThresholdHandle) and f.w.size == n:
         h = _threshold_chow_sums(f, n) / float(1 << n)
@@ -252,11 +249,9 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
 
     With probability >= 1-delta every coefficient estimate is within epsilon
     of the truth. Deterministic given the seed (an int or SeedSequence). The
-    samples are drawn in chunks of at most _MC_CHUNK_CELLS cells (one row at
-    least), so each chunk's arrays are reused from the heap instead of being
-    faulted in afresh; the chunks consume the generator's stream exactly as
-    one draw of all of them would.
-    When the bound asks for more than MC_SAMPLE_CAP samples, CapacityError is
+    samples are drawn in _chunks, which consume the generator's stream exactly
+    as one draw of all of them would.
+    When the bound asks for more than ROW_CAP samples, CapacityError is
     raised before any is drawn.
     """
     if not 0.0 < epsilon < math.inf:
@@ -264,14 +259,14 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     m = mc_sample_count(n, epsilon, delta)
-    if m > MC_SAMPLE_CAP:
+    if m > ROW_CAP:
         raise CapacityError(
-            f"epsilon={epsilon:g} needs {m:.3g} samples, over the sample cap {MC_SAMPLE_CAP}"
+            f"epsilon={epsilon:g} needs {m:.3g} samples, over the sample cap {ROW_CAP}"
         )
     rng = np.random.default_rng(seed)
-    total, step = 0.0, max(1, _MC_CHUNK_CELLS // max(n, 1))
-    for start in range(0, m, step):
-        total = total + _chow_sum(f, 1.0 - 2.0 * rng.integers(0, 2, size=(min(step, m - start), n)))
+    total = 0.0
+    for start, stop in _chunks(m, n):
+        total = total + _chow_sum(f, 1.0 - 2.0 * rng.integers(0, 2, size=(stop - start, n)))
     h = total / m
     return ChowEstimate(
         n=n, h_empty=float(h[0]), h_vec=h[1:], mode="mc", epsilon=epsilon, delta=delta, samples=m
@@ -301,13 +296,14 @@ def plancherel_inner(f, g, n: int) -> float:
     return float(cube_mean(dot, n))
 
 
-def chow_all(f, n: int, cap: int = 16) -> np.ndarray:
+def chow_all(f, n: int) -> np.ndarray:
     """All 2^n Fourier coefficients, indexed by subset bitmask.
 
     Intended for small-n identity checks (Parseval, Plancherel); a fast
-    Walsh-Hadamard transform of the truth table, O(n 2^n).
+    Walsh-Hadamard transform of the truth table, O(n 2^n), refused as
+    enumerate_cube refuses n.
     """
-    c = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n, cap)])
+    c = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n)])
     # chi_S(x_k) = (-1)^popcount(k & S) under the canonical bit encoding, so
     # each pass folds bit j of the input index into bit j of the subset index.
     for j in range(n):

@@ -227,6 +227,18 @@ class TestGenData:
         assert "labels for 3 input rows" in capsys.readouterr().err
         assert not (tmp_path / "u.train.csv").exists()
 
+    @pytest.mark.parametrize("labels", [b"0\n1\n1\n", b"1\n-1\n0.5\n"], ids=["zero-one", "half"])
+    def test_uniformize_labels_other_than_pm1_are_schema_error(self, tmp_path, capsys, monkeypatch, labels):
+        # A 0/1 label file is refused naming the file, before any fit, not mapped to +1 by its sign.
+        raw, path = tmp_path / "raw.csv", tmp_path / "labels.txt"
+        raw.write_bytes(b"1,2\n3,-1\n4,5\n")
+        path.write_bytes(labels)
+        monkeypatch.setattr(uniformize, "fit", lambda raw: pytest.fail("fitted"))
+        assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", path,
+                   "--out", tmp_path / "u") == EXIT_SCHEMA
+        assert f"error: {path}: a label is not -1 or +1" in capsys.readouterr().err
+        assert not (tmp_path / "u.train.csv").exists()
+
     def test_uniformize_without_input_is_param_error(self, tmp_path, capsys):
         assert run("gen-data", "--kind", "uniformize", "--out", tmp_path / "u") == EXIT_PARAMS
         err = capsys.readouterr().err
@@ -620,12 +632,31 @@ class TestExitCodes:
                 assert reason in err and "Traceback" not in err and len(err) < 120
                 assert not out.exists()
 
-    def test_param_error(self, workspace, tmp_path):
-        _, prefix, model = workspace
-        assert run(
-            "select", "--model", model, "--data", prefix, "--beta", 1.5,
-            "--out-model", tmp_path / "m.txt", "--out-trace", tmp_path / "t.csv",
-        ) == EXIT_PARAMS
+    def test_param_error(self, tmp_path, capsys):
+        # A flag outside its domain exits 2 when it is parsed, before its command loads
+        # an input: every input here is missing, which exits 3 with an in-domain value.
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        out.mkdir()
+        cases = [
+            (["select", "--model", missing, "--data", missing, "--out-model", out / "m", "--out-trace", out / "t",
+              "--beta"], "2", "0.5"),
+            (["attack", "--model", missing, "--data", missing, "--out", out / "o", "--epsilon"], "-1", "0"),
+            (["eval", "--model", missing, "--data", missing, "--out", out / "o", "--epsilons"], "0,-2", "0,2"),
+            (["gen-data", "--kind", "uniformize", "--input", missing, "--out", out / "d", "--seed"], "-1", "0"),
+            (["train", "--data", missing, "--out", out / "o", "--seed"], "-1", "0"),
+            (["adv-train", "--data", missing, "--out", out / "o", "--seed"], "-1", "0"),
+            (["chow", "--model", missing, "--unit", "0", "--chow-mode", "mc", "--out", out / "o", "--chow-seed"],
+             "-1", "0"),
+        ]
+        for argv, bad, good in cases:
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, bad)
+            assert exc.value.code == EXIT_PARAMS
+            err = capsys.readouterr().err
+            assert f"argument {argv[-1]}: must be " in err and "Traceback" not in err
+            assert run(*argv, good) == EXIT_MISSING_FILE
+            capsys.readouterr()
+        assert list(out.iterdir()) == []
 
     def test_mc_sample_cap(self, workspace, tmp_path, capsys):
         _, prefix, model = workspace
@@ -941,6 +972,20 @@ class TestExitCodes:
         assert f"argument {flag}: {reason}" in err and "Traceback" not in err
         assert work == [] and list(out.iterdir()) == ([] if blocked in (None, out) else [blocked])
 
+    def test_outputs_naming_one_file_are_param_error(self, workspace, tmp_path, capsys):
+        # The trace would replace the model, by the same name or through a symlink.
+        _, prefix, model = workspace
+        link = tmp_path / "link.txt"
+        link.symlink_to(tmp_path / "same.txt")
+        for trace in (tmp_path / "same.txt", link):
+            with pytest.raises(SystemExit) as exc:
+                run("select", "--model", model, "--data", prefix, "--beta", 0.0,
+                    "--out-model", tmp_path / "same.txt", "--out-trace", trace)
+            assert exc.value.code == EXIT_PARAMS
+            err = capsys.readouterr().err
+            assert f"argument --out-trace: '{trace}' is the same file as '{tmp_path / 'same.txt'}'" in err
+            assert not (tmp_path / "same.txt").exists()
+
     def test_degenerate_error(self, tmp_path):
         # A constant unit has a zero coefficient vector; the p=2 bound report
         # cannot normalize it.
@@ -1052,6 +1097,22 @@ def test_config_header_quotes_values_with_whitespace(workspace, tmp_path):
 def test_config_header_quotes_values_with_quotes_and_backslashes(workspace, tmp_path, name):
     _, prefix, _ = workspace
     _header_round_trip(prefix, tmp_path, tmp_path / name / "d")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_config_value_with_a_line_break_is_param_error(workspace, tmp_path, capsys, brk):
+    # str.splitlines would read such a '# config:' line as two lines, the second not a
+    # header, so the value is refused at parse time whatever the command would load.
+    _, prefix, _ = workspace
+    data = tmp_path / f"nl{brk}data"
+    for split in ("train", "validation", "test"):
+        shutil.copy(f"{prefix}.{split}.csv", f"{data}.{split}.csv")
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", data, "--width", 3, "--epochs", 1, "--out", tmp_path / "o")
+    assert exc.value.code == EXIT_PARAMS
+    assert "argument --data: a line break would split the '# config:' line" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_files_are_utf8_in_any_locale(tmp_path):
@@ -1167,7 +1228,7 @@ def test_numeric_flags_exit_with_a_documented_code(small_workspace, tmp_path_fac
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr), \
             contextlib.redirect_stdout(io.StringIO()):
         mp.setattr(cli, "CELL_CAP", 1 << 12)
-        mp.setattr(fourier, "MC_SAMPLE_CAP", 1 << 14)
+        mp.setattr(fourier, "ROW_CAP", 1 << 14)
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:

@@ -11,7 +11,7 @@ from conftest import LTF_KINDS, constant, dictator, ltf_units, majority3, random
 from fourierstab import fourier
 from fourierstab.errors import CapacityError, DimensionError
 from fourierstab.fourier import (
-    MC_SAMPLE_CAP,
+    ROW_CAP,
     ChowEstimate,
     ExactChow,
     MonteCarloChow,
@@ -129,11 +129,11 @@ class TestThresholdCounting:
         monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: pytest.fail("a pair was labelled"))
         with pytest.raises(CapacityError, match="band pairs"):
             chow_exact(h28, 28)
-        monkeypatch.setattr(fourier, "MC_SAMPLE_CAP", 3_597)
+        monkeypatch.setattr(fourier, "ROW_CAP", 3_597)
         with pytest.raises(CapacityError, match="3598 band pairs"):
             chow_exact(h16, 16)
         monkeypatch.undo()
-        monkeypatch.setattr(fourier, "MC_SAMPLE_CAP", 3_598)
+        monkeypatch.setattr(fourier, "ROW_CAP", 3_598)
         assert same_bits(chow_exact(h16, 16), counted)
 
     def test_half_cube_cell_cap(self, monkeypatch):
@@ -302,7 +302,7 @@ class TestChowMc:
             calls += 1
             return majority3(X)
 
-        assert mc_sample_count(3, 1e-9, 0.01) > MC_SAMPLE_CAP == 1 << 22
+        assert mc_sample_count(3, 1e-9, 0.01) > ROW_CAP == 1 << 22
         # Below about 1e-162 epsilon**2 underflows; the count is then infinite.
         assert mc_sample_count(3, 1e-200, 0.01) == math.inf
         # Above about 1e154 it overflows; one sample meets the bound, as it does at 7.
@@ -457,9 +457,16 @@ class TestChowAll:
         real = lambda X: np.tanh(X @ w + b)
         np.testing.assert_allclose(chow_all(real, n), chow_all_loop(real, n), rtol=0, atol=1e-15)
 
-    def test_cap(self):
-        with pytest.raises(CapacityError):
-            chow_all(majority3, 5, cap=4)
+    def test_cap(self, monkeypatch):
+        # The row cap, 2^22, refuses n = 23 before any row is built; n = 17 is answered.
+        monkeypatch.setattr(fourier, "cube_chunk", lambda *a: pytest.fail("a row was built"))
+        with pytest.raises(CapacityError, match="8388608 rows, over the cap of 4194304"):
+            chow_all(majority3, 23)
+        monkeypatch.undo()
+        # Majority of x_0, x_1, x_2 is (x_0 + x_1 + x_2 - x_0 x_1 x_2) / 2.
+        c = chow_all(lambda X: majority3(X[:, :3]), 17)
+        np.testing.assert_array_equal(np.flatnonzero(c), [0b001, 0b010, 0b100, 0b111])
+        np.testing.assert_array_equal(c[[0b001, 0b010, 0b100, 0b111]], [0.5, 0.5, 0.5, -0.5])
 
 
 class TestChowEstimate:
@@ -502,13 +509,33 @@ class TestCubeChunk:
     def test_rows_follow_the_bit_definition(self, n):
         total = 1 << n
         spans = [(0, min(total, 1024)), (1, 2), (max(0, total - 5), total)]
-        if n > 16:  # spans that cross 2^16 and 2^(n-1), and whole chunks as enumerate_cube builds them
+        if n > 16:  # spans that cross 2^16 and 2^(n-1)
             spans += [(65530, 65542), (total // 2 - 3, total // 2 + 3)]
-            assert [len(X) for X in enumerate_cube(n)] == [1 << 16] * (1 << (n - 16))
+        # enumerate_cube's chunks: as many rows as fit in 2^14 cells, the last one the rest.
+        sizes, start = [], 0
+        for X in enumerate_cube(n):
+            sizes.append(len(X))
+            np.testing.assert_array_equal(X[0], rows_by_bits(n, start, start + 1)[0])
+            start += len(X)
+            np.testing.assert_array_equal(X[-1], rows_by_bits(n, start - 1, start)[0])
+        step = (1 << 14) // n
+        full, rest = divmod(total, step)
+        assert sizes == [step] * full + ([rest] if rest else [])
         for start, stop in spans:
             X = cube_chunk(n, start, stop)
             assert X.dtype == np.float64 and X.flags.c_contiguous
             np.testing.assert_array_equal(X, rows_by_bits(n, start, stop))
+
+    def test_enumeration_memory_is_bounded(self):
+        # Chunks of 2^14 cells; the parent's 2^16-row chunks peaked at 30.6 MB here.
+        w = np.random.default_rng(3).normal(size=20)
+        tracemalloc.start()
+        try:
+            chow_exact(lambda X: np.tanh(X @ w), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sweeps_at_n17_equal_reference_sums(self, rng):
         n, size = 17, float(1 << 17)
