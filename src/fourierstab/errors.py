@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A request would exceed a bound on cube rows, matrix cells, band pairs or Monte-Carlo samples."""
+    """A request would exceed a bound on cube rows, matrix cells or Monte-Carlo samples."""
 
 
 class DegenerateFunctionError(ValueError):

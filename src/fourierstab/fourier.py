@@ -5,22 +5,22 @@ an (m, n) array with entries in {-1, +1} to an (m,) array of outputs.
 Boolean-valued handles return exactly +-1; real-valued handles (for example
 a sigmoid unit) may return anything in [-1, 1].
 
-Every pass over rows, enumeration of the cube in canonical order, Monte-Carlo
-draws and counting's band pairs, takes its chunks from one rule, _chunks, and
-visits at most ROW_CAP rows.
+Enumeration of the cube in canonical order and Monte-Carlo draws go in chunks
+from one rule, _chunks, and visit at most ROW_CAP rows.
 
-threshold_signs decides every sign of a threshold sum x.w - theta exactly:
-in a unit's handle, ThresholdHandle, in its counting's band pairs, and in
-network's sign layers. A unit's exact Chow parameters are counted over two
-half-cubes of about 2^(n/2) rows, not enumerated over the 2^n-row cube, and
-refused only for the work counting would do: a larger half-cube over CELL_CAP
-cells (n >= 39) or more than ROW_CAP band pairs.
+threshold_signs decides exactly the sign of every computed threshold sum
+x.w - theta: in a unit's handle, ThresholdHandle, and in network's sign layers.
+A unit's exact Chow parameters are counted from (w, theta) over two half-cubes
+of about 2^(n/2) rows, not enumerated over the 2^n-row cube. Counting sums
+exact integers, so it needs no tie band, and it refuses a unit only when its
+larger half-cube is over CELL_CAP cells (n >= 39).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from .errors import CapacityError, DimensionError
 # k = n - n//2 columns, would exceed it.
 CELL_CAP = 1 << 24
 
-# The most rows one pass visits: the 2^22 rows of an enumerated cube (n <= 22),
-# Monte-Carlo samples, or counting's band pairs (about 1.5 us each). A threshold
-# unit is counted, not enumerated: about a millisecond at n = 22, and about a
-# second, peaking near 250 MB, for a Gaussian unit at n = 38.
+# The most rows one pass visits: the 2^22 rows of an enumerated cube (n <= 22) or
+# Monte-Carlo samples. Counting a threshold unit takes about a millisecond at n = 22;
+# at n = 38 a Gaussian unit takes 0.5 s and 270 MB (about 2 s when it needs Python ints).
 ROW_CAP = 1 << 22
 
 # Every pass goes in chunks of at most this many cells (rows times n), so each
@@ -45,8 +44,8 @@ _CHUNK_CELLS = 1 << 14
 
 
 def _chunks(m: int, n: int):
-    """(start, stop) spans of rows 0..m in order, each of at most _CHUNK_CELLS
-    cells of n columns, and of one row at least."""
+    """(start, stop) spans of rows 0..m in order, for enumeration and Monte-Carlo
+    draws, each of at most _CHUNK_CELLS cells of n columns and of one row at least."""
     step = max(1, _CHUNK_CELLS // max(n, 1))
     return ((start, min(start + step, m)) for start in range(0, m, step))
 
@@ -61,11 +60,10 @@ def cube_chunk(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def enumerate_cube(n: int):
-    """Yield the full cube as (m, n) chunks in canonical order; more than ROW_CAP rows raise CapacityError."""
+    """The full cube as (m, n) chunks in canonical order; over ROW_CAP rows raise CapacityError at the call."""
     if 1 << n > ROW_CAP:
         raise CapacityError(f"n={n} has {1 << n} rows, over the cap of {ROW_CAP}")
-    for start, stop in _chunks(1 << n, n):
-        yield cube_chunk(n, start, stop)
+    return (cube_chunk(n, start, stop) for start, stop in _chunks(1 << n, n))
 
 
 @dataclass(frozen=True)
@@ -183,13 +181,15 @@ class ThresholdHandle:
     """The handle of h(x) = sign(x.w - theta), with sign(0) = +1, exact on
     every row by threshold_signs, so a row's label does not depend on the
     batch it is evaluated in. chow_exact counts its coefficients from
-    (w, theta), calling it only on rows whose sums lie within the band.
-    ||w||_1 + |theta| must be finite.
+    (w, theta) alone, never calling it. ||w||_1 + |theta| must be finite.
     """
 
     def __init__(self, w: np.ndarray, theta: float):
         self.w, self.theta = w, float(theta)
-        self.band = tie_band(w, self.theta)
+
+    @cached_property
+    def band(self) -> float:  # computed when the handle first labels rows
+        return tie_band(self.w, self.theta)
 
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -201,35 +201,32 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     """2^n times (h_empty, h_1, ..., h_n) of f by meet in the middle (Horowitz
     and Sahni, J. ACM 21(2), 1974): x splits into halves a (the first n//2
     coordinates) and b, and each a-half's label sum counts the b-halves whose
-    partial sums lie on either side of theta - a.w_a in sorted order."""
+    partial sums lie on either side of theta - a.w_a in sorted order. A float is
+    an integer times a power of two, so w and theta are integers k times one 2^-e
+    and every sum is exact: in int64 when no half-sum or theta - a.w_a can reach
+    2^63 in magnitude, else in Python ints."""
     na, nb = n // 2, n - n // 2
     if (nb << nb) > CELL_CAP:
         raise CapacityError(f"n={n} needs a half-cube of {nb << nb} cells, over the cap of {CELL_CAP}")
+    ratios = [v.as_integer_ratio() for v in (*f.w.tolist(), f.theta)]
+    scale = max(q for _, q in ratios)
+    *k, k_theta = (p * (scale // q) for p, q in ratios)
+    dtype = np.int64 if max(sum(map(abs, k[na:])), abs(k_theta) + sum(map(abs, k[:na]))) < 1 << 63 else object
+
+    def half_sums(terms):  # in cube_chunk's row order: rows from 2^j on flip x_j
+        s = np.zeros(1, dtype)
+        for v in terms:
+            s = np.concatenate((s + v, s - v))
+        return s
+
     A, B = cube_chunk(na, 0, 1 << na), cube_chunk(nb, 0, 1 << nb)
-    sb = B @ f.w[na:]
+    sb = half_sums(k[na:])
     order = np.argsort(sb, kind="stable")
-    sb = sb[order]
-    t = f.theta - A @ f.w[:na]
-    # Pairs of a with the b-halves at sorted positions from hi on are rows
-    # labelled +1, those before lo -1; the handle labels the band pairs
-    # between, numbered a-row by a-row, in _chunks.
-    lo = np.searchsorted(sb, t - f.band, "left")
-    hi = np.searchsorted(sb, t + f.band, "right") if f.band else lo
-    up_a = len(sb) - hi
-    up_b = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]  # by sorted position
-    ends = np.cumsum(hi - lo)
-    if ends[-1] > ROW_CAP:
-        raise CapacityError(f"n={n} has {ends[-1]} band pairs, over the cap of {ROW_CAP}")
-    for start, stop in _chunks(ends[-1], n):
-        q = np.arange(start, stop)
-        a = np.searchsorted(ends, q, "right")
-        j = q - ends[a] + hi[a]
-        up = f(np.hstack((A[a], B[order[j]]))) > 0.0
-        np.add.at(up_a, a[up], 1)
-        np.add.at(up_b, j[up], 1)
-    by_b = np.empty_like(up_b)
-    by_b[order] = up_b
-    label_a, label_b = 2 * up_a - len(sb), 2 * by_b - len(t)
+    # Pairs of a with the b-halves at sorted positions from hi on are the rows labelled +1.
+    hi = np.searchsorted(sb[order], k_theta - half_sums(k[:na]))
+    by_b = np.empty_like(order)
+    by_b[order] = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]
+    label_a, label_b = len(sb) - 2 * hi, 2 * by_b - len(hi)
     return np.concatenate(([label_a.sum()], label_a @ A, label_b @ B))
 
 
@@ -300,16 +297,21 @@ def chow_all(f, n: int) -> np.ndarray:
     """All 2^n Fourier coefficients, indexed by subset bitmask.
 
     Intended for small-n identity checks (Parseval, Plancherel); a fast
-    Walsh-Hadamard transform of the truth table, O(n 2^n), refused as
-    enumerate_cube refuses n.
+    Walsh-Hadamard transform of the truth table, O(n 2^n) in the one 2^n table
+    and a half-table temporary, refused as enumerate_cube refuses n.
     """
-    c = np.concatenate([np.asarray(f(X), dtype=np.float64) for X in enumerate_cube(n)])
+    chunks, c = enumerate_cube(n), np.empty(1 << n)
+    for X, (start, stop) in zip(chunks, _chunks(1 << n, n)):
+        c[start:stop] = f(X)
     # chi_S(x_k) = (-1)^popcount(k & S) under the canonical bit encoding, so
     # each pass folds bit j of the input index into bit j of the subset index.
+    half = np.empty(len(c) // 2)
     for j in range(n):
-        c = c.reshape(-1, 2, 1 << j)
-        c = np.stack([c[:, 0] + c[:, 1], c[:, 0] - c[:, 1]], axis=1)
-    return c.reshape(-1) / float(1 << n)
+        v, a = c.reshape(-1, 2, 1 << j), half.reshape(-1, 1 << j)
+        np.subtract(v[:, 0], v[:, 1], out=a)
+        v[:, 0] += v[:, 1]
+        v[:, 1] = a
+    return np.divide(c, float(1 << n), out=c)
 
 
 @dataclass(frozen=True)

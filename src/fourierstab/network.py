@@ -119,12 +119,12 @@ class BinaryMlp:
         Z = self.preactivation(X)
         if self.act is not Activation.SIGN:
             return self.act.apply(Z, out=Z)
-        return threshold_signs(X, Z, self.W1, -self.b1, self._sign_bands)
+        return threshold_signs(X, Z, self.W1, -self.b1, self._sign_bands[0])
 
     @cached_property
-    def _sign_bands(self) -> np.ndarray:
-        """tie_band of each first-layer unit, once per model: it costs several forward passes."""
-        return tie_band(self.W1, -self.b1)
+    def _sign_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """tie_band of the hidden units and of the output unit, once per model: it costs forward passes."""
+        return tie_band(self.W1, -self.b1), tie_band(self.W2[None], np.array([-self.b2]))
 
     def head(self, A: np.ndarray) -> np.ndarray:
         """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""
@@ -142,8 +142,8 @@ class BinaryMlp:
             raise DimensionError(f"input dimension {X.shape[-1]} != {self.n}")
         if self.act is not Activation.SIGN:
             return sign_pm1(self.margin(X))
-        A, W, theta = self.hidden(X), self.W2[None], np.array([-self.b2])
-        return threshold_signs(A, self.head(A)[..., None], W, theta, tie_band(W, theta))[..., 0]
+        A, (_, band) = self.hidden(X), self._sign_bands
+        return threshold_signs(A, self.head(A)[..., None], self.W2[None], np.array([-self.b2]), band)[..., 0]
 
 
 def fresh_mask(t: int) -> np.ndarray:

@@ -39,8 +39,10 @@ def ltf_units(n, kind):
     threshold, one-decimal weights and threshold (sums that are ties in decimal
     land within a rounding error of 0), the weights (0.1, 0.2, 0.3, -0.6) tiled
     to n, permuted and sign-flipped, with a one-decimal threshold (such ties on
-    a large share of the cube), or +-1 weights with an integer threshold (exact
-    sums, ties wherever x.w = theta)."""
+    a large share of the cube), the same with a pair +-2^40 among the weights
+    (which cancel on half the cube, and whose exact sums need more than 64
+    bits), or +-1 weights with an integer threshold (exact sums, ties wherever
+    x.w = theta)."""
     tenths = st.integers(-10, 10).map(lambda k: k / 10)
     if kind == "gaussian":
         return st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
@@ -48,8 +50,10 @@ def ltf_units(n, kind):
     if kind == "one-decimal":
         weights = st.lists(tenths, min_size=n, max_size=n).filter(any)
         return st.builds(LinearThresholdNeuron, weights.map(np.array), tenths)
-    if kind == "tiled":
+    if kind in ("tiled", "cancelling"):
         tiled = np.resize([0.1, 0.2, 0.3, -0.6], n)
+        if kind == "cancelling":
+            tiled[:2] = [2.0**40, -(2.0**40)][:n]
         flips = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
         weights = st.builds(lambda order, flip: tiled[order] * flip, st.permutations(range(n)), flips)
         return st.builds(LinearThresholdNeuron, weights, tenths)
@@ -59,7 +63,7 @@ def ltf_units(n, kind):
     raise ValueError(kind)
 
 
-LTF_KINDS = ("gaussian", "one-decimal", "tiled", "pm1")
+LTF_KINDS = ("gaussian", "one-decimal", "tiled", "cancelling", "pm1")
 
 
 @pytest.fixture

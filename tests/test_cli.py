@@ -620,17 +620,26 @@ class TestExitCodes:
 
     def test_capacity_error(self, tmp_path, capsys):
         # A unit is refused for the work its counting would do: at n = 40 its larger
-        # half-cube, 20 * 2^20 cells, is over 2^24; the tiled one-decimal unit at
-        # n = 28 has 11,218,944 band pairs, over 2^22. No output is written.
-        units = {"half-cube": np.ones(40), "band pairs": np.resize([0.1, 0.2, 0.3, -0.6], 28)}
-        for reason, w in units.items():
-            model, out = tmp_path / "m.txt", tmp_path / "o.csv"
-            save_model(BinaryMlp(w[None], np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
-            for argv in (["chow", "--unit", 0], ["bounds", "--unit", 0], ["stabilize", "--p", 2]):
-                assert run(argv[0], "--model", model, *argv[1:], "--out", out) == EXIT_CAPACITY
-                err = capsys.readouterr().err
-                assert reason in err and "Traceback" not in err and len(err) < 120
-                assert not out.exists()
+        # half-cube, 20 * 2^20 cells, is over 2^24. No output is written.
+        model, out = tmp_path / "m.txt", tmp_path / "o.csv"
+        save_model(BinaryMlp(np.ones((1, 40)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
+        for argv in (["chow", "--unit", 0], ["bounds", "--unit", 0], ["stabilize", "--p", 2]):
+            assert run(argv[0], "--model", model, *argv[1:], "--out", out) == EXIT_CAPACITY
+            err = capsys.readouterr().err
+            assert "half-cube" in err and "Traceback" not in err and len(err) < 120
+            assert not out.exists()
+
+    def test_tie_heavy_unit_on_28_inputs_is_answered(self, tmp_path):
+        # The tiled one-decimal unit at n = 28 has 11,218,944 sums within its tie
+        # band; counting sums exact integers, so none needs deciding one by one.
+        model = tmp_path / "m.txt"
+        w = np.resize([0.1, 0.2, 0.3, -0.6], 28)
+        save_model(BinaryMlp(w[None], np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
+        for argv in (["chow", "--unit", 0], ["bounds", "--unit", 0], ["stabilize", "--p", 2]):
+            assert run(argv[0], "--model", model, *argv[1:], "--out", tmp_path / f"{argv[0]}.csv") == EXIT_OK
+        est = chow_exact(first_layer_ltf(load_model(model), 0).handle(), 28)
+        rows = [ln for ln in (tmp_path / "chow.csv").read_text().splitlines() if ln and not ln.startswith("#")]
+        assert [float(ln.split(",")[1]) for ln in rows[1:]] == [est.h_empty, *est.h_vec]
 
     def test_param_error(self, tmp_path, capsys):
         # A flag outside its domain exits 2 when it is parsed, before its command loads

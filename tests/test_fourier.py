@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -122,19 +123,25 @@ class TestThresholdCounting:
             with pytest.raises(CapacityError, match="half-cube"):
                 chow_exact(LinearThresholdNeuron(np.ones(n), 0.5).handle(), n)
 
-    def test_band_pair_cap_before_any_pair_is_labelled(self, monkeypatch):
-        # The tiled unit has 3,598 band pairs at n = 16, and 11,218,944 (over 2^22) at n = 28.
-        h16, h28 = (LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], n), 0.0).handle() for n in (16, 28))
-        counted = chow_exact(h16, 16)
-        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: pytest.fail("a pair was labelled"))
-        with pytest.raises(CapacityError, match="band pairs"):
-            chow_exact(h28, 28)
-        monkeypatch.setattr(fourier, "ROW_CAP", 3_597)
-        with pytest.raises(CapacityError, match="3598 band pairs"):
-            chow_exact(h16, 16)
-        monkeypatch.undo()
-        monkeypatch.setattr(fourier, "ROW_CAP", 3_598)
-        assert same_bits(chow_exact(h16, 16), counted)
+    @pytest.mark.parametrize("n", [28, 32])
+    def test_tie_heavy_units_are_counted_without_labelling_a_row(self, n, monkeypatch):
+        # The tiled unit has 11,218,944 sums within its tie band at n = 28, and
+        # 168,331,566 at n = 32; counting reads only (w, theta).
+        w, theta = np.resize([0.1, 0.2, 0.3, -0.6], n), 0.0
+        h = LinearThresholdNeuron(w, theta).handle()
+        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: pytest.fail("a row was labelled"))
+        monkeypatch.setattr(fourier, "tie_band", lambda *a: pytest.fail("a tie band was computed"))
+        est = chow_exact(h, n)
+        # Reference: the 4 weights each repeat n/4 times, so a row's exact sum depends
+        # only on how many copies of each are +1, and h_i on its copy's count.
+        reps, h_empty, h_class = n // 4, Fraction(0), [Fraction(0)] * 4
+        for ups in itertools.product(range(reps + 1), repeat=4):
+            rows = math.prod(math.comb(reps, u) for u in ups)
+            label = 1 if sum(Fraction(v) * (2 * u - reps) for v, u in zip(w, ups)) >= Fraction(theta) else -1
+            h_empty += rows * label
+            h_class = [c + Fraction(rows * label * (2 * u - reps), reps) for c, u in zip(h_class, ups)]
+        assert est.h_empty == h_empty / 2**n
+        assert est.h_vec.tolist() == [float(h_class[i % 4] / 2**n) for i in range(n)]
 
     def test_half_cube_cell_cap(self, monkeypatch):
         # A larger half of k columns has k * 2^k cells: 5 * 32 = 160 at n = 10, 6 * 64 at n = 11.
@@ -164,7 +171,7 @@ class TestThresholdCounting:
 
     def test_tie_heavy_units_decide_their_band_pairs(self):
         # One-decimal weights whose decimal sums tie on many rows: every such row lies
-        # in the band, in the handle and as a pair in the counting.
+        # in the handle's band, and counting decides it by an exact integer sum.
         nrn = LinearThresholdNeuron(np.tile([0.1, 0.2, 0.3, -0.6], 4), 0.0)
         X = cube_chunk(16, 0, 1 << 16)
         s = X @ nrn.w
@@ -172,37 +179,48 @@ class TestThresholdCounting:
         h = nrn.handle()
         assert same_bits(chow_exact(h, 16), chow_exact(enumerated(h), 16))
 
-    def test_band_pairs_are_decided_in_bounded_memory(self, monkeypatch):
-        # At n = 20 this unit has about 51,500 band pairs; built all at once
-        # (pairs x n cells, then a list of Python floats) they took 54 MB.
-        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 20), 0.0).handle()
-        tracemalloc.start()
-        try:
-            counted = chow_exact(h, 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
-        assert same_bits(counted, chow_exact(enumerated(h), 20))
-        # At n = 24 it has 755,056; an index and a flag array as long as their count
-        # (17 bytes a pair) peaked at 18 MB. The handle labels them by BLAS's sign here,
-        # so that tracemalloc's cost per Python float does not dominate.
-        labelled = []
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_tie_heavy_units_give_enumerations_bits(self, n):
+        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], n), 0.0).handle()
+        assert same_bits(chow_exact(h, n), chow_exact(enumerated(h), n))
 
-        def blas_sign(self, X):
-            labelled.append(len(X))
-            return fourier.sign_pm1(X @ self.w - self.theta)
-
-        monkeypatch.setattr(fourier.ThresholdHandle, "__call__", blas_sign)
-        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 24), 0.0).handle()
+    @pytest.mark.parametrize("pair", [(), (2.0**40, -(2.0**40))], ids=["int64", "python-int"])
+    def test_counting_memory_is_bounded(self, pair):
+        # The tiled unit on 24 inputs, alone (int64 sums) or with a pair +-2^40 among
+        # its weights (sums of more than 64 bits): two 4096-row half-cubes and their sums.
+        w = np.concatenate((pair, np.resize([0.1, 0.2, 0.3, -0.6], 24 - len(pair))))
+        h = LinearThresholdNeuron(w, 0.3).handle()
         tracemalloc.start()
         try:
             chow_exact(h, 24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(labelled) == 755_056 and max(labelled) * 24 <= 1 << 14
-        assert peak < 4 << 20
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("w, theta", [
+        ([2.0**62, -(2.0**62), 2.0**62, -(2.0**62)], 0.0),  # a half reaches 2^63: Python ints
+        ([2.0**62, 2.0**62 - 2.0**10, -(2.0**62), 2.0**62 - 2.0**10], 0.0),  # halves reach 2^63 - 2^10: int64
+        ([2.0**61, 2.0**61, 2.0**62, -(2.0**62) + 2.0**10], 2.0**62),  # theta - a.w_a reaches 2^63: Python ints
+        ([2.0**61, 2.0**61 - 2.0**10, 2.0**62, -(2.0**62) + 2.0**10], -(2.0**62)),  # it reaches 2^63 - 2^10
+    ])
+    def test_sums_at_the_int64_boundary(self, w, theta):
+        h = LinearThresholdNeuron(np.array(w), theta).handle()
+        assert same_bits(chow_exact(h, 4), chow_exact(enumerated(h), 4))
+
+    def test_band_is_computed_only_to_label_rows(self, monkeypatch):
+        bands = []
+
+        def counted(W, theta):
+            bands.append(theta)
+            return tie_band(W, theta)
+
+        monkeypatch.setattr(fourier, "tie_band", counted)
+        h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 16), 0.0).handle()
+        chow_exact(h, 16)
+        assert bands == []
+        est = chow_mc(h, 16, 0.02, 0.01, seed=3)  # the handle labels 10 chunks of samples
+        assert est.samples > 9 * (1 << 14) // 16 and bands == [0.0]
 
 
 # Kinds of float for the weights and threshold of one unit.
@@ -456,6 +474,29 @@ class TestChowAll:
         w, b = rng.normal(size=n), rng.normal()
         real = lambda X: np.tanh(X @ w + b)
         np.testing.assert_allclose(chow_all(real, n), chow_all_loop(real, n), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_in_place_passes_give_the_stacked_passes_bits(self, rng, n):
+        # Each in-place pass makes the same two float operations as a pass that
+        # stacks a new table of sums and differences, so real-valued handles agree bit for bit.
+        w, b = rng.normal(size=n), rng.normal()
+        for real in (lambda X: np.tanh(X @ w + b), lambda X: 1.0 / (1.0 + np.exp(-(X @ w) - b))):
+            c = np.concatenate([real(X) for X in enumerate_cube(n)])
+            for j in range(n):
+                c = c.reshape(-1, 2, 1 << j)
+                c = np.stack([c[:, 0] + c[:, 1], c[:, 0] - c[:, 1]], axis=1)
+            assert chow_all(real, n).tobytes() == (c.reshape(-1) / float(1 << n)).tobytes()
+
+    def test_one_table_and_a_half(self):
+        # At n = 20 the table is 8 MB; three tables at once took 24 MB.
+        w = np.random.default_rng(4).normal(size=20)
+        tracemalloc.start()
+        try:
+            chow_all(lambda X: np.tanh(X @ w + 0.25), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 << 20
 
     def test_cap(self, monkeypatch):
         # The row cap, 2^22, refuses n = 23 before any row is built; n = 17 is answered.
