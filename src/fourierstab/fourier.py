@@ -8,11 +8,11 @@ a sigmoid unit) may return anything in [-1, 1].
 Enumeration of the cube in canonical order and Monte-Carlo draws go in chunks
 from one rule, _chunks, and visit at most ROW_CAP rows.
 
-threshold_signs decides exactly the sign of every computed threshold sum
-x.w - theta: in a unit's handle, ThresholdHandle, and in network's sign layers.
-A unit's exact Chow parameters are counted from (w, theta) over two half-cubes
-of about 2^(n/2) rows, not enumerated over the 2^n-row cube. Counting sums
-exact integers, so it needs no tie band, and it refuses a unit only when its
+_integer_form writes a threshold unit's (w, theta) as integers times one power
+of two: the one exact arithmetic for sign(x.w - theta). threshold_signs decides
+with it each computed sum near 0, in a unit's handle, ThresholdHandle, and in
+network's sign layers. Counting sums it over two half-cubes of about 2^(n/2)
+rows for a unit's exact Chow parameters, and refuses a unit only when its
 larger half-cube is over CELL_CAP cells (n >= 39).
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -139,47 +138,48 @@ def sign_pm1(z: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
 
 
-def tie_band(W: np.ndarray, theta):
-    """Half-width of the band around 0 in which a computed x.w - theta may
-    have the wrong sign; 0 when no computed sum can err. For a (k, n) layer W
-    with (k,) thresholds, the (k,) bands of its units.
-
-    In any order of summation of the terms +-w_i and -theta the error is at
-    most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 2002, section 3.1), so outside
-    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. No sum
-    errs when every term is a multiple of one power of two 2^e and
-    ||w||_1 + |theta| is below 2^(53+e), as with integer weights: every
-    partial sum is then a float.
-    """
-    W, theta = np.asarray(W, dtype=np.float64), np.asarray(theta, dtype=np.float64)
-    # A term m * 2^e (frexp) is M = m * 2^53 times 2^(e-53), and M & -M, M's
-    # lowest set bit, is 2^(j-1) for its frexp exponent j; 2048 marks a zero term.
-    m, e = np.frexp(np.concatenate((W, theta[..., None]), axis=-1))
-    M = (m * 2.0**53).astype(np.int64)
-    low = np.where(M != 0, np.frexp((M & -M).astype(np.float64))[1] + e - 54, 2048).min(axis=-1)
-    reach = np.abs(W).sum(axis=-1) + np.abs(theta)
-    band = np.where(np.frexp(reach)[1] <= 53 + low, 0.0, 2.0 * W.shape[-1] + 2.0)
-    return (band * np.finfo(np.float64).eps * reach)[()]
+def _integer_form(w: np.ndarray, theta: float) -> tuple[list[int], int]:
+    """Integers k and k_theta with w = k * 2^-e and theta = k_theta * 2^-e for one e:
+    every float is an integer times a power of two."""
+    ratios = [v.as_integer_ratio() for v in (*w.tolist(), float(theta))]
+    scale = max(q for _, q in ratios)
+    *k, k_theta = (p * (scale // q) for p, q in ratios)
+    return k, k_theta
 
 
-def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """sign(x.W[j] - theta[j]), with sign(0) = +1, of each row x of X and each unit j
-    of a layer: W is (k, n), theta and band (from tie_band) are (k,), and S holds the
-    computed sums, (m, k), or (k,) for one row. An entry within a band > 0 takes the
-    sign of the correctly rounded math.fsum of its terms, which is the exact sum's."""
+def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sign(x.W[j] - theta[j]), with sign(0) = +1, of each +-1 row x of X and each unit j
+    of a layer: W is (k, n), theta is (k,), and S holds the computed sums, (m, k), or (k,)
+    for one row. In any order of summation of the terms +-w_i and -theta the error is at
+    most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1), so outside the band
+    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. Within it a unit's
+    integer form (k, k_theta) decides: when sum |k| + |k_theta| < 2^53 every partial sum
+    is a float, so the computed sum is exact; otherwise the sign is that of the row
+    times k minus k_theta in integers, int64 below 2^63 and Python ints above, and a
+    row that is not exactly +-1 raises ValueError."""
     out = sign_pm1(S)
     X2, S2, out2 = np.atleast_2d(X, S, out)  # one row: one-row views
-    rows, units = np.nonzero((np.abs(S2) <= band) & (band > 0.0))
-    if rows.size:
-        terms = np.hstack((X2[rows] * W[units], -theta[units, None]))
-        out2[rows, units] = [1.0 if math.fsum(t) >= 0.0 else -1.0 for t in terms.tolist()]
+    band = 2.0 * (W.shape[-1] + 1) * np.finfo(np.float64).eps * (np.abs(W).sum(axis=-1) + np.abs(theta))
+    in_band = np.abs(S2) <= band
+    for j in np.flatnonzero(in_band.any(axis=0)):
+        k, k_theta = _integer_form(W[j], theta[j])
+        reach = sum(map(abs, k)) + abs(k_theta)
+        if reach < 1 << 53:
+            continue
+        r = np.flatnonzero(in_band[:, j])
+        Xr = X2[r]
+        if (np.abs(Xr) != 1.0).any():
+            raise ValueError("a sum decided in integers has a row that is not +-1")
+        dtype = np.int64 if reach < 1 << 63 else object
+        s = Xr.astype(np.int64) @ np.array(k, dtype) - k_theta
+        out2[r, j] = np.where(s >= 0, 1.0, -1.0)
     return out
 
 
 class ThresholdHandle:
     """The handle of h(x) = sign(x.w - theta), with sign(0) = +1, exact on
-    every row by threshold_signs, so a row's label does not depend on the
+    every +-1 row by threshold_signs, so a row's label does not depend on the
     batch it is evaluated in. chow_exact counts its coefficients from
     (w, theta) alone, never calling it. ||w||_1 + |theta| must be finite.
     """
@@ -187,30 +187,27 @@ class ThresholdHandle:
     def __init__(self, w: np.ndarray, theta: float):
         self.w, self.theta = w, float(theta)
 
-    @cached_property
-    def band(self) -> float:  # computed when the handle first labels rows
-        return tie_band(self.w, self.theta)
-
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[-1:] != self.w.shape:
+            raise DimensionError(f"rows of shape {X.shape} for a unit on {self.w.size} inputs")
         s = X @ self.w - self.theta
-        return threshold_signs(X, s[..., None], self.w[None], np.array([self.theta]), np.array([self.band]))[..., 0]
+        return threshold_signs(X, s[..., None], self.w[None], np.array([self.theta]))[..., 0]
 
 
 def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     """2^n times (h_empty, h_1, ..., h_n) of f by meet in the middle (Horowitz
     and Sahni, J. ACM 21(2), 1974): x splits into halves a (the first n//2
     coordinates) and b, and each a-half's label sum counts the b-halves whose
-    partial sums lie on either side of theta - a.w_a in sorted order. A float is
-    an integer times a power of two, so w and theta are integers k times one 2^-e
-    and every sum is exact: in int64 when no half-sum or theta - a.w_a can reach
-    2^63 in magnitude, else in Python ints."""
+    partial sums lie on either side of theta - a.w_a in sorted order. Over the
+    integer form of (w, theta) every sum is exact: in int64 when no half-sum or
+    theta - a.w_a can reach 2^63 in magnitude, else in Python ints."""
+    if f.w.size != n:
+        raise DimensionError(f"a unit on {f.w.size} inputs counted on {n}")
     na, nb = n // 2, n - n // 2
     if (nb << nb) > CELL_CAP:
         raise CapacityError(f"n={n} needs a half-cube of {nb << nb} cells, over the cap of {CELL_CAP}")
-    ratios = [v.as_integer_ratio() for v in (*f.w.tolist(), f.theta)]
-    scale = max(q for _, q in ratios)
-    *k, k_theta = (p * (scale // q) for p, q in ratios)
+    k, k_theta = _integer_form(f.w, f.theta)
     dtype = np.int64 if max(sum(map(abs, k[na:])), abs(k_theta) + sum(map(abs, k[:na]))) < 1 << 63 else object
 
     def half_sums(terms):  # in cube_chunk's row order: rows from 2^j on flip x_j
@@ -234,7 +231,7 @@ def chow_exact(f, n: int) -> ChowEstimate:
     """Exact degree-<=1 coefficients: counted for a ThresholdHandle on n
     inputs, by full enumeration (at most ROW_CAP rows) for any other
     handle. Both sum integers, so both give the same bits."""
-    if isinstance(f, ThresholdHandle) and f.w.size == n:
+    if isinstance(f, ThresholdHandle):
         h = _threshold_chow_sums(f, n) / float(1 << n)
     else:
         h = cube_mean(lambda X: _chow_sum(f, X), n)

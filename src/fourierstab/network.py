@@ -4,10 +4,10 @@ The first layer is the unit of stabilization: unit j realizes the
 linear-threshold function with w = W1[j] and theta = -b1[j]. The prediction
 statistic, the margin, is the output layer's score minus the activation
 midpoint (0.5 for logistic, 0 otherwise), so label = sign(margin) with
-sign(0) = +1; a sign network's labels, hidden and output, are exact signs
-(fourier.threshold_signs). Every evaluation of a network goes through
-BinaryMlp's preactivation and head, except train_sgd's steps, which work on
-raw arrays.
+sign(0) = +1; a sign network's labels, hidden and output, are exact signs,
+decided on each call by fourier.threshold_signs. Every evaluation of a network
+goes through BinaryMlp's preactivation and head, except train_sgd's steps,
+which work on raw arrays.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ChowEstimate, ExactChow, MonteCarloChow, sign_pm1, threshold_signs, tie_band
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow, sign_pm1, threshold_signs
 from .neuron import LinearThresholdNeuron, PNorm, norm, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
@@ -114,17 +113,13 @@ class BinaryMlp:
 
     def hidden(self, X: np.ndarray) -> np.ndarray:
         """Hidden activations, for a batch or one input, in the pre-activations'
-        buffer, except for sign units: fourier.threshold_signs decides those,
-        so each labels every input as first_layer_ltf's handle does."""
+        buffer, except for sign units: fourier.threshold_signs decides those
+        exactly on each call, so each labels every +-1 input as first_layer_ltf's
+        handle does."""
         Z = self.preactivation(X)
         if self.act is not Activation.SIGN:
             return self.act.apply(Z, out=Z)
-        return threshold_signs(X, Z, self.W1, -self.b1, self._sign_bands[0])
-
-    @cached_property
-    def _sign_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """tie_band of the hidden units and of the output unit, once per model: it costs forward passes."""
-        return tie_band(self.W1, -self.b1), tie_band(self.W2[None], np.array([-self.b2]))
+        return threshold_signs(X, Z, self.W1, -self.b1)
 
     def head(self, A: np.ndarray) -> np.ndarray:
         """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""
@@ -136,14 +131,15 @@ class BinaryMlp:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """sign(margin), with sign(0) = +1. A sign network's output unit is a threshold
-        unit of its +-1 activations, decided by fourier.threshold_signs as the hidden ones are."""
+        unit of its +-1 activations, decided exactly by fourier.threshold_signs as the
+        hidden ones are."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.n:
             raise DimensionError(f"input dimension {X.shape[-1]} != {self.n}")
         if self.act is not Activation.SIGN:
             return sign_pm1(self.margin(X))
-        A, (_, band) = self.hidden(X), self._sign_bands
-        return threshold_signs(A, self.head(A)[..., None], self.W2[None], np.array([-self.b2]), band)[..., 0]
+        A = self.hidden(X)
+        return threshold_signs(A, self.head(A)[..., None], self.W2[None], np.array([-self.b2]))[..., 0]
 
 
 def fresh_mask(t: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from fourierstab.fourier import (
     mc_sample_count,
     parity,
     plancherel_inner,
-    tie_band,
+    threshold_signs,
 )
 from fourierstab.neuron import (
     LinearThresholdNeuron,
@@ -130,7 +130,7 @@ class TestThresholdCounting:
         w, theta = np.resize([0.1, 0.2, 0.3, -0.6], n), 0.0
         h = LinearThresholdNeuron(w, theta).handle()
         monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: pytest.fail("a row was labelled"))
-        monkeypatch.setattr(fourier, "tie_band", lambda *a: pytest.fail("a tie band was computed"))
+        monkeypatch.setattr(fourier, "threshold_signs", lambda *a: pytest.fail("a sign was decided"))
         est = chow_exact(h, n)
         # Reference: the 4 weights each repeat n/4 times, so a row's exact sum depends
         # only on how many copies of each are +1, and h_i on its copy's count.
@@ -175,7 +175,7 @@ class TestThresholdCounting:
         nrn = LinearThresholdNeuron(np.tile([0.1, 0.2, 0.3, -0.6], 4), 0.0)
         X = cube_chunk(16, 0, 1 << 16)
         s = X @ nrn.w
-        assert np.count_nonzero(np.abs(s) <= fourier.tie_band(nrn.w, 0.0)) > 1000
+        assert np.count_nonzero(np.abs(s) <= 2 * 17 * np.finfo(np.float64).eps * np.abs(nrn.w).sum()) > 1000
         h = nrn.handle()
         assert same_bits(chow_exact(h, 16), chow_exact(enumerated(h), 16))
 
@@ -209,18 +209,27 @@ class TestThresholdCounting:
         assert same_bits(chow_exact(h, 4), chow_exact(enumerated(h), 4))
 
     def test_band_is_computed_only_to_label_rows(self, monkeypatch):
-        bands = []
+        calls = []
 
-        def counted(W, theta):
-            bands.append(theta)
-            return tie_band(W, theta)
+        def counted(X, S, W, theta):
+            calls.append(len(X))
+            return threshold_signs(X, S, W, theta)
 
-        monkeypatch.setattr(fourier, "tie_band", counted)
+        monkeypatch.setattr(fourier, "threshold_signs", counted)
         h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 16), 0.0).handle()
         chow_exact(h, 16)
-        assert bands == []
+        assert calls == []
         est = chow_mc(h, 16, 0.02, 0.01, seed=3)  # the handle labels 10 chunks of samples
-        assert est.samples > 9 * (1 << 14) // 16 and bands == [0.0]
+        assert len(calls) == 10 and sum(calls) == est.samples
+
+    def test_width_must_be_n(self):
+        h = LinearThresholdNeuron(np.ones(4), 0.5).handle()
+        for n in (3, 5):
+            with pytest.raises(DimensionError):
+                chow_exact(h, n)
+        for X in (np.ones((2, 3)), np.ones(5)):
+            with pytest.raises(DimensionError):
+                h(X)
 
 
 # Kinds of float for the weights and threshold of one unit.
@@ -243,31 +252,39 @@ def layers():
     return st.integers(1, 9).flatmap(rows)
 
 
-def exact_in_floats(terms):
-    """Whether every sum of the terms is a float: all are multiples of one 2^low
-    with sum |terms| below 2^(53+low)."""
-    ratios = [Fraction(v) for v in terms if v]
-    if not ratios:
-        return True
-    low = min((r.numerator & -r.numerator).bit_length() - r.denominator.bit_length() for r in ratios)
-    return sum(abs(r) for r in ratios) < Fraction(2) ** (53 + low)
+def fraction_signs(X, W, theta):
+    """sign(x.W[j] - theta[j]), sign(0) = +1, of each row x of X and unit j, in exact rationals."""
+    units = [([Fraction(v) for v in w], Fraction(t)) for w, t in zip(W.tolist(), theta.tolist())]
+    return [[1.0 if sum(w_i if x_i > 0 else -w_i for x_i, w_i in zip(x, w)) >= t else -1.0 for w, t in units]
+            for x in X.tolist()]
 
 
-class TestTieBand:
+class TestThresholdSigns:
+    """threshold_signs gives each sum of a layer over the cube its exact sign, in a
+    batch and row by row, whatever the kind of float."""
+
     @settings(max_examples=60, deadline=None)
     @given(layers())
-    # Sums of |terms| just below and at 2^53 ulps of the lowest bit, in integers and in subnormals.
+    # sum |k| + |k_theta| of the integer form at 2^53 - 1 and 2^53 (the floats are exact;
+    # integers decide) and at 2^63 - 2^10 and 2^63 (int64; Python ints), in integers and
+    # in subnormals. Then decimal ties decided in int64 and beside a +-2^40 pair in Python ints.
     @example([[s * 2.0**52, s * (2.0**52 - 1), s * d] for s in (1.0, 5e-324) for d in (0.0, 1.0)])
-    def test_layer_bands_are_the_units_bands(self, rows):
+    @example([[s * 2.0**62, s * (2.0**62 - 2.0**10), s * d] for s in (1.0, 5e-324) for d in (0.0, 2.0**10)])
+    @example([[0.1, 0.2, 0.3, -0.6, 0.0], [2.0**40, -(2.0**40), 0.1, 0.2, 0.3]])
+    def test_layers_get_fraction_exact_signs(self, rows):
         T = np.array(rows)
         W, theta = T[:, :-1], T[:, -1]
-        band = tie_band(W, theta)
-        units = [tie_band(W[j], theta[j]) for j in range(len(T))]
-        assert band.shape == theta.shape and band.tobytes() == np.array(units).tobytes()
-        for j, row in enumerate(rows):
-            reach = float(np.abs(W[j]).sum()) + abs(theta[j])
-            expected = 0.0 if exact_in_floats(row) else 2.0 * (W.shape[1] + 1) * np.finfo(np.float64).eps * reach
-            assert np.float64(units[j]).tobytes() == np.float64(expected).tobytes()
+        X = cube_chunk(W.shape[1], 0, 1 << W.shape[1])
+        exact = fraction_signs(X, W, theta)
+        assert threshold_signs(X, X @ W.T - theta, W, theta).tolist() == exact
+        assert [threshold_signs(x, x @ W.T - theta, W, theta).tolist() for x in X] == exact
+
+    def test_a_band_row_that_is_not_pm1_raises(self):
+        # 0.03 + 0.06 - 0.09 lies in the band; its rounded products are not the unit's terms.
+        h = LinearThresholdNeuron(np.array([0.1, 0.2, 0.3]), 0.0).handle()
+        assert h(np.array([1.0, 1.0, -1.0])) == 1.0
+        with pytest.raises(ValueError, match="not \\+-1"):
+            h(np.array([0.3, 0.3, -0.3]))
 
 
 class TestChowMc:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import LTF_KINDS, ltf_units
 from fourierstab.errors import DegenerateFunctionError, DimensionError, SchemaError
-from fourierstab import network
-from fourierstab.fourier import ExactChow, cube_chunk, threshold_signs, tie_band
+from fourierstab.fourier import ExactChow, cube_chunk, threshold_signs
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -103,22 +102,13 @@ class TestForward:
         batch = net.predict(X)
         assert [net.predict(x) for x in X] == [net.predict(x[None])[0] for x in X] == batch.tolist()
 
-    def test_sign_net_computes_each_layers_band_once(self, monkeypatch):
-        bands = []
-
-        def counted(W, theta):
-            bands.append(np.shape(W))
-            return tie_band(W, theta)
-
-        monkeypatch.setattr(network, "tie_band", counted)
+    def test_sign_net_predicts_each_layers_threshold_signs(self):
         net = BinaryMlp(np.resize([0.1, 0.2, 0.3, -0.6], (3, 8)), np.array([0.0, 0.1, -0.3]), Activation.SIGN,
                         np.array([0.1, 0.2, -0.3]), 0.0, fresh_mask(3))
         X = cube_chunk(8, 0, 1 << 8)
         first, second = net.predict(X), net.predict(X[:7])
-        assert bands == [(3, 8), (1, 3)]
-        A = threshold_signs(X, net.preactivation(X), net.W1, -net.b1, tie_band(net.W1, -net.b1))
-        W, theta = net.W2[None], np.array([-net.b2])
-        expected = threshold_signs(A, net.head(A)[:, None], W, theta, tie_band(W, theta))[:, 0]
+        A = threshold_signs(X, net.preactivation(X), net.W1, -net.b1)
+        expected = threshold_signs(A, net.head(A)[:, None], net.W2[None], np.array([-net.b2]))[:, 0]
         assert first.tobytes() == expected.tobytes() and second.tobytes() == expected[:7].tobytes()
 
 

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from conftest import constant, dictator, ltf_units, majority3, random_ltf
 from fourierstab.errors import DegenerateFunctionError, DimensionError
-from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube, tie_band
+from fourierstab import fourier
+from fourierstab.fourier import ChowEstimate, chow_exact, enumerate_cube
 from fourierstab.network import Activation, BinaryMlp, fresh_mask
 from fourierstab.neuron import (
     C0,
@@ -124,6 +125,12 @@ def fraction_labels(nrn, X):
     return np.array([1.0 if sum(wi if xi > 0 else -wi for xi, wi in zip(x, w)) >= theta else -1.0 for x in X])
 
 
+def integer_reach(nrn):
+    """sum |k| + |k_theta| of the unit's integer form: below 2^53 every computed sum is exact."""
+    k, k_theta = fourier._integer_form(nrn.w, nrn.theta)
+    return sum(map(abs, k)) + abs(k_theta)
+
+
 class TestExactLabels:
     """The handle labels every row with the exact sign of x.w - theta, whatever
     batch the row is evaluated in."""
@@ -158,7 +165,7 @@ class TestExactLabels:
         exact = fraction_labels(nrn, X)
         blas = [sign_pm1(X @ nrn.w - nrn.theta), [sign_pm1(x @ nrn.w - nrn.theta) for x in X]]
         assert any((labels != exact).any() for labels in blas)
-        assert tie_band(nrn.w, nrn.theta) > 0.0
+        assert integer_reach(nrn) >= 2**53  # the tie rows are decided in integers
         np.testing.assert_array_equal(nrn.handle()(X), exact)
         assert [nrn.handle()(x) for x in X] == exact.tolist()
 
@@ -167,7 +174,7 @@ class TestExactLabels:
     def test_pm1_weights_with_integer_threshold_keep_their_labels(self, nrn):
         # Every sum is an integer, so BLAS is exact and no row needs deciding.
         X = cube(nrn.n)
-        assert tie_band(nrn.w, nrn.theta) == 0.0
+        assert integer_reach(nrn) < 2**53
         labels = nrn.handle()(X)
         np.testing.assert_array_equal(labels, sign_pm1(X @ nrn.w - nrn.theta))
         np.testing.assert_array_equal(labels, fraction_labels(nrn, X))
