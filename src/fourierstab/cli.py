@@ -33,7 +33,7 @@ import numpy as np
 from . import selection, uniformize
 from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import CELL_CAP, ExactChow, MonteCarloChow
+from .fourier import ExactChow, MonteCarloChow
 from .network import (
     RESCALE_MODES,
     Activation,
@@ -76,12 +76,13 @@ _EXIT_CODES = (
     (ValueError, EXIT_PARAMS),
 )
 
-# CELL_CAP bounds every matrix a command builds: gen-data refuses to draw more
-# cells (examples x n, or a planted-mlp teacher's width x n) and to uniformize
-# an input of more rows x d or d x d; train refuses a wider first layer
-# (width x n). At the uniformize bound, d = m = 4096, fit took 1.7 s for the
-# covariance, 14.7 s for eigh and 2.1 s for the projection on a 2-core Xeon
-# with BLAS on 1 thread, peaking near 1 GB.
+# The largest float64 matrix a command builds from its flags or input: 2^24
+# cells, 128 MiB. gen-data refuses to draw more cells (examples x n, or a
+# planted-mlp teacher's width x n) and to uniformize an input of more rows x d
+# or d x d; train refuses a wider first layer (width x n). At the uniformize
+# bound, d = m = 4096, fit took 1.7 s for the covariance, 14.7 s for eigh and
+# 2.1 s for the projection on a 2-core Xeon with BLAS on 1 thread, peaking near 1 GB.
+CELL_CAP = 1 << 24
 
 
 # The output flags. With the dispatch entries they are not configuration, so

@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A request would exceed a bound on cube rows, matrix cells or Monte-Carlo samples."""
+    """A request would exceed a bound on cube rows, counted half-sums, matrix cells or Monte-Carlo samples."""
 
 
 class DegenerateFunctionError(ValueError):

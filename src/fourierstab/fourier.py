@@ -11,9 +11,9 @@ from one rule, _chunks, and visit at most ROW_CAP rows.
 _integer_form writes a threshold unit's (w, theta) as integers times one power
 of two: the one exact arithmetic for sign(x.w - theta). threshold_signs decides
 with it each computed sum near 0, in a unit's handle, ThresholdHandle, and in
-network's sign layers. Counting sums it over two half-cubes of about 2^(n/2)
-rows for a unit's exact Chow parameters, and refuses a unit only when its
-larger half-cube is over CELL_CAP cells (n >= 39).
+network's sign layers. Counting sums it over the two halves of the inputs, about
+2^(n/2) half-sums each, for a unit's exact Chow parameters, builds no cube row,
+and refuses a unit only when a half has over ROW_CAP half-sums (n >= 45).
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 
-# The largest float64 matrix a command builds from its flags or input: 2^24
-# cells, 128 MiB. Counting refuses a unit whose larger half-cube, 2^k rows of
-# k = n - n//2 columns, would exceed it.
-CELL_CAP = 1 << 24
-
-# The most rows one pass visits: the 2^22 rows of an enumerated cube (n <= 22) or
-# Monte-Carlo samples. Counting a threshold unit takes about a millisecond at n = 22;
-# at n = 38 a Gaussian unit takes 0.5 s and 270 MB (about 2 s when it needs Python ints).
+# The most rows one pass visits: the 2^22 rows of an enumerated cube (n <= 22), Monte-Carlo
+# samples, or a counted half's half-sums (n <= 44). Counting an int64 unit takes 0.06-0.2 s
+# and 24 MB at n = 38, 1-3.4 s and 192 MB at n = 44; on Python ints 1 s and 76 MB, 21 s and 600 MB.
 ROW_CAP = 1 << 22
 
 # Every pass goes in chunks of at most this many cells (rows times n), so each
@@ -153,25 +148,21 @@ def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarr
     for one row. In any order of summation of the terms +-w_i and -theta the error is at
     most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2002, section 3.1), so outside the band
-    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. Within it a unit's
-    integer form (k, k_theta) decides: when sum |k| + |k_theta| < 2^53 every partial sum
-    is a float, so the computed sum is exact; otherwise the sign is that of the row
-    times k minus k_theta in integers, int64 below 2^63 and Python ints above, and a
-    row that is not exactly +-1 raises ValueError."""
+    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. Within it the
+    unit's integer form (k, k_theta) decides: the sign is that of the row times k minus
+    k_theta in integers, int64 when sum |k| + |k_theta| < 2^63 and Python ints above,
+    and a row that is not exactly +-1 raises ValueError."""
     out = sign_pm1(S)
     X2, S2, out2 = np.atleast_2d(X, S, out)  # one row: one-row views
     band = 2.0 * (W.shape[-1] + 1) * np.finfo(np.float64).eps * (np.abs(W).sum(axis=-1) + np.abs(theta))
     in_band = np.abs(S2) <= band
     for j in np.flatnonzero(in_band.any(axis=0)):
         k, k_theta = _integer_form(W[j], theta[j])
-        reach = sum(map(abs, k)) + abs(k_theta)
-        if reach < 1 << 53:
-            continue
         r = np.flatnonzero(in_band[:, j])
         Xr = X2[r]
         if (np.abs(Xr) != 1.0).any():
             raise ValueError("a sum decided in integers has a row that is not +-1")
-        dtype = np.int64 if reach < 1 << 63 else object
+        dtype = np.int64 if sum(map(abs, k)) + abs(k_theta) < 1 << 63 else object
         s = Xr.astype(np.int64) @ np.array(k, dtype) - k_theta
         out2[r, j] = np.where(s >= 0, 1.0, -1.0)
     return out
@@ -180,7 +171,8 @@ def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarr
 class ThresholdHandle:
     """The handle of h(x) = sign(x.w - theta), with sign(0) = +1, exact on
     every +-1 row by threshold_signs, so a row's label does not depend on the
-    batch it is evaluated in. chow_exact counts its coefficients from
+    batch it is evaluated in; a row whose sum lies within threshold_signs' band
+    and is not +-1 raises ValueError. chow_exact counts its coefficients from
     (w, theta) alone, never calling it. ||w||_1 + |theta| must be finite.
     """
 
@@ -201,12 +193,13 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     coordinates) and b, and each a-half's label sum counts the b-halves whose
     partial sums lie on either side of theta - a.w_a in sorted order. Over the
     integer form of (w, theta) every sum is exact: in int64 when no half-sum or
-    theta - a.w_a can reach 2^63 in magnitude, else in Python ints."""
+    theta - a.w_a can reach 2^63 in magnitude, else in Python ints. No cube row is
+    built, and a half of over ROW_CAP half-sums raises CapacityError before any sum."""
     if f.w.size != n:
         raise DimensionError(f"a unit on {f.w.size} inputs counted on {n}")
     na, nb = n // 2, n - n // 2
-    if (nb << nb) > CELL_CAP:
-        raise CapacityError(f"n={n} needs a half-cube of {nb << nb} cells, over the cap of {CELL_CAP}")
+    if 1 << nb > ROW_CAP:
+        raise CapacityError(f"n={n} needs {1 << nb} half-sums, over the cap of {ROW_CAP}")
     k, k_theta = _integer_form(f.w, f.theta)
     dtype = np.int64 if max(sum(map(abs, k[na:])), abs(k_theta) + sum(map(abs, k[:na]))) < 1 << 63 else object
 
@@ -216,7 +209,6 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
             s = np.concatenate((s + v, s - v))
         return s
 
-    A, B = cube_chunk(na, 0, 1 << na), cube_chunk(nb, 0, 1 << nb)
     sb = half_sums(k[na:])
     order = np.argsort(sb, kind="stable")
     # Pairs of a with the b-halves at sorted positions from hi on are the rows labelled +1.
@@ -224,7 +216,12 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     by_b = np.empty_like(order)
     by_b[order] = np.cumsum(np.bincount(hi, minlength=len(sb) + 1))[:-1]
     label_a, label_b = len(sb) - 2 * hi, 2 * by_b - len(hi)
-    return np.concatenate(([label_a.sum()], label_a @ A, label_b @ B))
+    total = label_a.sum()  # and label_b's: each sums every row's label once
+
+    def coordinate_sums(label, bits):  # x_j is -1 on the rows with bit j set
+        return [total - 2 * label.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(bits)]
+
+    return np.array([total, *coordinate_sums(label_a, na), *coordinate_sums(label_b, nb)])
 
 
 def chow_exact(f, n: int) -> ChowEstimate:

@@ -619,14 +619,14 @@ class TestExitCodes:
         assert not (tmp_path / "m.txt").exists()
 
     def test_capacity_error(self, tmp_path, capsys):
-        # A unit is refused for the work its counting would do: at n = 40 its larger
-        # half-cube, 20 * 2^20 cells, is over 2^24. No output is written.
+        # A unit is refused for the work its counting would do: at n = 45 its larger
+        # half, 23 inputs, has 2^23 half-sums, over 2^22. No output is written.
         model, out = tmp_path / "m.txt", tmp_path / "o.csv"
-        save_model(BinaryMlp(np.ones((1, 40)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
+        save_model(BinaryMlp(np.ones((1, 45)), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1)), model)
         for argv in (["chow", "--unit", 0], ["bounds", "--unit", 0], ["stabilize", "--p", 2]):
             assert run(argv[0], "--model", model, *argv[1:], "--out", out) == EXIT_CAPACITY
             err = capsys.readouterr().err
-            assert "half-cube" in err and "Traceback" not in err and len(err) < 120
+            assert "half-sums" in err and "Traceback" not in err and len(err) < 120
             assert not out.exists()
 
     def test_tie_heavy_unit_on_28_inputs_is_answered(self, tmp_path):

@@ -27,6 +27,7 @@ from fourierstab.fourier import (
     plancherel_inner,
     threshold_signs,
 )
+from fourierstab.network import Activation, BinaryMlp, fresh_mask
 from fourierstab.neuron import (
     LinearThresholdNeuron,
     PNorm,
@@ -108,19 +109,20 @@ class TestThresholdCounting:
         h = data.draw(ltf_units(n, kind)).handle()
         assert same_bits(chow_exact(h, n), chow_exact(enumerated(h), n))
 
-    def test_majority_on_33_inputs_in_closed_form(self):
-        # An odd sum never ties: h_empty = 0, and h_i = Pr[the other 32 tie] = C(32, 16) / 2^32.
-        est = chow_exact(LinearThresholdNeuron(np.ones(33), 0.0).handle(), 33)
+    @pytest.mark.parametrize("n", [33, 39])
+    def test_majority_in_closed_form(self, n):
+        # An odd sum never ties: h_empty = 0, and h_i = Pr[the other n - 1 inputs tie],
+        # C(n - 1, (n - 1)/2) / 2^(n - 1).
+        est = chow_exact(LinearThresholdNeuron(np.ones(n), 0.0).handle(), n)
         assert est.h_empty == 0.0
-        np.testing.assert_array_equal(est.h_vec, np.full(33, math.comb(32, 16) / 2**32))
+        np.testing.assert_array_equal(est.h_vec, np.full(n, math.comb(n - 1, n // 2) / 2 ** (n - 1)))
 
     def test_capacity_error_before_any_half_cube(self, monkeypatch):
-        def no_rows(n, start, stop):
-            raise AssertionError("a cube chunk was built")
-
-        monkeypatch.setattr(fourier, "cube_chunk", no_rows)
-        for n in (39, 40, 64):
-            with pytest.raises(CapacityError, match="half-cube"):
+        # A half of 23 or more inputs has over 2^22 half-sums; the unit is refused
+        # before its integer form, the first thing counting computes from it.
+        monkeypatch.setattr(fourier, "_integer_form", lambda *a: pytest.fail("the integer form was computed"))
+        for n in (45, 46, 64):
+            with pytest.raises(CapacityError, match="half-sums, over the cap of 4194304"):
                 chow_exact(LinearThresholdNeuron(np.ones(n), 0.5).handle(), n)
 
     @pytest.mark.parametrize("n", [28, 32])
@@ -143,11 +145,11 @@ class TestThresholdCounting:
         assert est.h_empty == h_empty / 2**n
         assert est.h_vec.tolist() == [float(h_class[i % 4] / 2**n) for i in range(n)]
 
-    def test_half_cube_cell_cap(self, monkeypatch):
-        # A larger half of k columns has k * 2^k cells: 5 * 32 = 160 at n = 10, 6 * 64 at n = 11.
-        monkeypatch.setattr(fourier, "CELL_CAP", 160)
+    def test_half_sum_row_cap(self, monkeypatch):
+        # The larger half of n inputs has 2^(n - n//2) half-sums: 32 at n = 10, 64 at n = 11.
+        monkeypatch.setattr(fourier, "ROW_CAP", 32)
         chow_exact(LinearThresholdNeuron(np.ones(10), 0.5).handle(), 10)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="n=11 needs 64 half-sums, over the cap of 32"):
             chow_exact(LinearThresholdNeuron(np.ones(11), 0.5).handle(), 11)
 
     def test_rows_drawn_at_n16(self, monkeypatch):
@@ -162,10 +164,9 @@ class TestThresholdCounting:
         calls = []
         monkeypatch.setattr(fourier.ThresholdHandle, "__call__", lambda self, X: calls.append(len(X)))
         counted = chow_exact(h, 16)
-        assert drawn == [1 << 8, 1 << 8] and calls == []
+        assert drawn == [] and calls == []
         monkeypatch.undo()
         monkeypatch.setattr(fourier, "cube_chunk", counting_chunk)
-        drawn.clear()
         assert same_bits(counted, chow_exact(enumerated(h), 16))
         assert sum(drawn) == 1 << 16
 
@@ -197,6 +198,18 @@ class TestThresholdCounting:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_counting_builds_no_half_cube_matrix(self):
+        # At n = 32 two 2^16-row half-cube matrices of +-1 floats took 24.6 MB; the
+        # half-sums and their counts take under 4 MB.
+        w = np.round(np.random.default_rng(32).normal(size=32) * 2**20) / 2**20
+        tracemalloc.start()
+        try:
+            chow_exact(LinearThresholdNeuron(w, 0.25).handle(), 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("w, theta", [
         ([2.0**62, -(2.0**62), 2.0**62, -(2.0**62)], 0.0),  # a half reaches 2^63: Python ints
@@ -285,6 +298,16 @@ class TestThresholdSigns:
         assert h(np.array([1.0, 1.0, -1.0])) == 1.0
         with pytest.raises(ValueError, match="not \\+-1"):
             h(np.array([0.3, 0.3, -0.3]))
+
+    def test_a_band_row_that_is_not_pm1_raises_whatever_the_integer_form(self):
+        # The computed sum of the row is 0, in the band of both units, but the exact sums
+        # are -1 and -2^-60: a float sign would be +1. The first unit's integers are small.
+        row = np.array([1e16, -1.0, -1e16])
+        for w in ([1.0, 1.0, 1.0], [1.0, 2.0**-60, 1.0]):
+            net = BinaryMlp(np.array([w]), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1))
+            for label in (LinearThresholdNeuron(np.array(w), 0.0).handle(), net.hidden):
+                with pytest.raises(ValueError, match="not \\+-1"):
+                    label(row)
 
 
 class TestChowMc:
