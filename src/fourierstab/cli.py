@@ -237,9 +237,8 @@ def _gen_data_uniformize(args) -> None:
         raise SchemaError(f"{args.labels}: a label is not -1 or +1")
     try:
         model = uniformize.fit(raw)
-    except ValueError as exc:  # too few rows, or a non-finite sample or covariance: the input's fault
+    except ValueError as exc:  # too few rows, a non-finite sample or covariance, or an eigh that fails its check
         raise SchemaError(f"{args.input}: {exc}") from exc
-    model.validate()
     bits = uniformize.binarize(model, raw)
     (_, path), (_, cov_path) = _output_paths(args)
     save_dataset(LabeledDataset(bits, labels[:, 0], split="train"), path, _config_header(args))

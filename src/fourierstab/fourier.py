@@ -9,11 +9,12 @@ Enumeration of the cube in canonical order and Monte-Carlo draws go in chunks
 from one rule, _chunks, and visit at most ROW_CAP rows.
 
 _integer_form writes a threshold unit's (w, theta) as integers times one power
-of two: the one exact arithmetic for sign(x.w - theta). threshold_signs decides
-with it each computed sum near 0, in a unit's handle, ThresholdHandle, and in
-network's sign layers. Counting sums it over the two halves of the inputs, about
-2^(n/2) half-sums each, for a unit's exact Chow parameters, builds no cube row,
-and refuses a unit only when a half has over ROW_CAP half-sums (n >= 45).
+of two: the one exact arithmetic for sign(x.w - theta). threshold_signs computes
+a layer's sums from its weights, never taking them from a caller, and decides with
+it each sum near 0, in a unit's handle, ThresholdHandle, and in network's sign
+layers. Counting sums it over the two halves of the inputs, about 2^(n/2)
+half-sums each, for a unit's exact Chow parameters, builds no cube row, and
+refuses a unit only when a half has over ROW_CAP half-sums (n >= 45).
 """
 
 from __future__ import annotations
@@ -142,16 +143,17 @@ def _integer_form(w: np.ndarray, theta: float) -> tuple[list[int], int]:
     return k, k_theta
 
 
-def threshold_signs(X: np.ndarray, S: np.ndarray, W: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def threshold_signs(X: np.ndarray, W: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """sign(x.W[j] - theta[j]), with sign(0) = +1, of each +-1 row x of X and each unit j
-    of a layer: W is (k, n), theta is (k,), and S holds the computed sums, (m, k), or (k,)
-    for one row. In any order of summation of the terms +-w_i and -theta the error is at
-    most about (n+1)*eps/2*(||w||_1 + |theta|) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, section 3.1), so outside the band
-    2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one. Within it the
-    unit's integer form (k, k_theta) decides: the sign is that of the row times k minus
-    k_theta in integers, int64 when sum |k| + |k_theta| < 2^63 and Python ints above,
-    and a row that is not exactly +-1 raises ValueError."""
+    of a layer: W is (k, n), theta is (k,), and the result is (m, k), or (k,) for one row.
+    The sums S = X @ W.T - theta are computed here, and in any order of summation of the
+    terms +-w_i and -theta their error is at most about (n+1)*eps/2*(||w||_1 + |theta|)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1),
+    so outside the band 2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one.
+    Within it the unit's integer form (k, k_theta) decides: the sign is that of the row
+    times k minus k_theta in integers, int64 when sum |k| + |k_theta| < 2^63 and Python
+    ints above, and a row that is not exactly +-1 raises ValueError."""
+    S = X @ W.T - theta
     out = sign_pm1(S)
     X2, S2, out2 = np.atleast_2d(X, S, out)  # one row: one-row views
     band = 2.0 * (W.shape[-1] + 1) * np.finfo(np.float64).eps * (np.abs(W).sum(axis=-1) + np.abs(theta))
@@ -183,8 +185,7 @@ class ThresholdHandle:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1:] != self.w.shape:
             raise DimensionError(f"rows of shape {X.shape} for a unit on {self.w.size} inputs")
-        s = X @ self.w - self.theta
-        return threshold_signs(X, s[..., None], self.w[None], np.array([self.theta]))[..., 0]
+        return threshold_signs(X, self.w[None], np.array([self.theta]))[..., 0]
 
 
 def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:

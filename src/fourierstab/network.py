@@ -4,10 +4,10 @@ The first layer is the unit of stabilization: unit j realizes the
 linear-threshold function with w = W1[j] and theta = -b1[j]. The prediction
 statistic, the margin, is the output layer's score minus the activation
 midpoint (0.5 for logistic, 0 otherwise), so label = sign(margin) with
-sign(0) = +1; a sign network's labels, hidden and output, are exact signs,
-decided on each call by fourier.threshold_signs. Every evaluation of a network
-goes through BinaryMlp's preactivation and head, except train_sgd's steps,
-which work on raw arrays.
+sign(0) = +1. Every evaluation of a network goes through BinaryMlp's
+preactivation and head, except train_sgd's steps, which work on raw arrays, and a
+sign network's labels, hidden and output: fourier.threshold_signs computes those
+from the layer's weights and decides them exactly on each call.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ class BinaryMlp:
 
     def hidden(self, X: np.ndarray) -> np.ndarray:
         """Hidden activations, for a batch or one input, in the pre-activations'
-        buffer, except for sign units: fourier.threshold_signs decides those
-        exactly on each call, so each labels every +-1 input as first_layer_ltf's
-        handle does."""
+        buffer, except for sign units: fourier.threshold_signs computes their sums
+        from (W1, -b1) and decides them exactly on each call, so each labels every
+        +-1 input as first_layer_ltf's handle does."""
+        if self.act is Activation.SIGN:
+            return threshold_signs(X, self.W1, -self.b1)
         Z = self.preactivation(X)
-        if self.act is not Activation.SIGN:
-            return self.act.apply(Z, out=Z)
-        return threshold_signs(X, Z, self.W1, -self.b1)
+        return self.act.apply(Z, out=Z)
 
     def head(self, A: np.ndarray) -> np.ndarray:
         """Margin of hidden activations A: A @ W2 + b2 minus the activation midpoint."""
@@ -130,16 +130,15 @@ class BinaryMlp:
         return self.head(self.hidden(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """sign(margin), with sign(0) = +1. A sign network's output unit is a threshold
-        unit of its +-1 activations, decided exactly by fourier.threshold_signs as the
-        hidden ones are."""
+        """sign(margin), with sign(0) = +1. A sign network's output unit is the threshold
+        unit (W2, -b2) of its +-1 activations, decided exactly by fourier.threshold_signs
+        as the hidden ones are, without head."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.n:
             raise DimensionError(f"input dimension {X.shape[-1]} != {self.n}")
         if self.act is not Activation.SIGN:
             return sign_pm1(self.margin(X))
-        A = self.hidden(X)
-        return threshold_signs(A, self.head(A)[..., None], self.W2[None], np.array([-self.b2]))[..., 0]
+        return threshold_signs(self.hidden(X), self.W2[None], np.array([-self.b2]))[..., 0]
 
 
 def fresh_mask(t: int) -> np.ndarray:

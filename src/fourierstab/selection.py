@@ -108,8 +108,9 @@ def _unit_gains(net: BinaryMlp, val: LabeledDataset, cfg: SelectionConfig) -> tu
     """A new trace, each unit's delta_r, and the stabilized (row, bias) of each unit selection
     may stabilize, both from the unit's one Chow estimate; val's width is checked before any.
 
-    A degenerate unit (a zero row or a zero coefficient vector) is one that
-    stabilize_subset skips: it gains 0 and is left out, with a trace warning.
+    A degenerate unit (a zero row or a zero coefficient vector) gains 0 and is
+    left out, with a trace warning. stabilize_subset at p = 1 estimates nothing and
+    skips only a zero row, so it stabilizes a constant unit whose row is not zero.
     """
     if val.n != net.n:
         raise DimensionError(f"dataset dimension {val.n} != model dimension {net.n}")

@@ -3,6 +3,7 @@ near-uniform +-1 vectors.
 
 The eigendecomposition is numpy's eigh in a fixed order and sign; through LAPACK and
 BLAS, its bytes are reproducible on one machine and BLAS build, not across CPU kernels.
+Each check sits with the value it checks, so a loaded model is checked as a fitted one is.
 """
 
 from __future__ import annotations
@@ -18,53 +19,53 @@ from .network import floats, fmt_vec, read_document, write_document
 def jacobi_eigh(C: np.ndarray):
     """(eigenvalues, eigenvectors) of a finite symmetric matrix by np.linalg.eigh,
     eigenvalues descending and each eigenvector's largest-magnitude entry positive.
-    A non-finite matrix raises ValueError, where eigh would return NaN eigenvalues."""
+    A non-finite matrix raises ValueError, where eigh would return NaN eigenvalues; so does
+    one that np.allclose (atol 1e-9) finds not symmetric, whose upper triangle eigh ignores,
+    and a decomposition it finds not to give the matrix back (atol 1e-7 * max(1, max |A|))."""
     A = np.asarray(C, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError("matrix must be square")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
+    if not np.allclose(A, A.T, atol=1e-9):
+        raise ValueError("matrix is not symmetric")
     eigvals, V = np.linalg.eigh(A)
     order = np.argsort(-eigvals, kind="stable")
     eigvals, V = eigvals[order], V[:, order]
     largest = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     V[:, largest < 0] *= -1.0
+    if not np.allclose(V @ np.diag(eigvals) @ V.T, A, atol=1e-7 * np.max(np.abs(A), initial=1.0)):
+        raise ValueError("eigendecomposition does not reconstruct the matrix")
     return eigvals, V
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
+    """A fit's mean, eigenvectors U (one per column), eigenvalues D and thresholds, but not
+    its covariance, U diag(D) U.T. Shapes, finiteness and U.T @ U = I (np.allclose, atol
+    1e-9) are checked as the model is built, so a loaded model is checked as a fitted one is."""
+
     mean: np.ndarray
-    C: np.ndarray
     U: np.ndarray
     D: np.ndarray
     thresholds: np.ndarray
 
     def __post_init__(self):
         d = np.size(self.mean)
-        for name, shape in (("mean", (d,)), ("C", (d, d)), ("U", (d, d)), ("D", (d,)), ("thresholds", (d,))):
+        for name, shape in (("mean", (d,)), ("U", (d, d)), ("D", (d,)), ("thresholds", (d,))):
             a = np.asarray(getattr(self, name), dtype=np.float64)
             if a.shape != shape:
                 raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
             if not np.isfinite(a).all():
                 raise ValueError(f"non-finite value in {name}")
             object.__setattr__(self, name, a)
+        with np.errstate(all="ignore"):  # a product that overflows is not the identity either
+            if not np.allclose(self.U.T @ self.U, np.eye(d), atol=1e-9):
+                raise ValueError("eigenvector matrix is not orthogonal")
 
     @property
     def d(self) -> int:
         return self.mean.size
-
-    def validate(self) -> None:
-        """Check the symmetry, orthogonality and reconstruction invariants;
-        the shapes and finiteness are checked on construction."""
-        if not np.allclose(self.C, self.C.T, atol=1e-9):
-            raise ValueError("covariance is not symmetric")
-        if not np.allclose(self.U.T @ self.U, np.eye(self.d), atol=1e-9):
-            raise ValueError("eigenvector matrix is not orthogonal")
-        recon = self.U @ np.diag(self.D) @ self.U.T
-        scale = max(1.0, float(np.max(np.abs(self.C))))
-        if not np.allclose(recon, self.C, atol=1e-7 * scale):
-            raise ValueError("eigendecomposition does not reconstruct the covariance")
 
 
 def fit(samples: np.ndarray) -> CovarianceModel:
@@ -85,7 +86,7 @@ def fit(samples: np.ndarray) -> CovarianceModel:
     # noise so the >=-threshold tie rule fires at the boundary.
     scale = max(1.0, float(np.max(np.abs(proj)))) if proj.size else 1.0
     thresholds[np.abs(thresholds) < 1e-12 * scale] = 0.0
-    return CovarianceModel(mean=mean, C=C, U=U, D=D, thresholds=thresholds)
+    return CovarianceModel(mean=mean, U=U, D=D, thresholds=thresholds)
 
 
 def binarize(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
@@ -123,8 +124,6 @@ def load_covariance_model(path) -> CovarianceModel:
         U = np.array([floats(kv.pop(f"U.{j}")) for j in range(int(kv.pop("d")))])
         if kv:
             raise ValueError(f"unknown field(s) {sorted(kv)}")
-        with np.errstate(all="ignore"):  # the model refuses a non-finite product
-            C = U @ np.diag(D) @ U.T
-        return CovarianceModel(mean=mean, C=C, U=U, D=D, thresholds=thresholds)
+        return CovarianceModel(mean=mean, U=U, D=D, thresholds=thresholds)
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed covariance model ({exc})") from exc

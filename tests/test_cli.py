@@ -170,8 +170,9 @@ class TestGenData:
         assert run("gen-data", "--kind", "uniformize", "--input", raw, "--out", prefix) == EXIT_OK
         ds = load_dataset(f"{prefix}.train.csv")
         assert ds.m == 300 and ds.n == 3
-        model = load_covariance_model(f"{prefix}.covmodel.txt")
-        model.validate()
+        model = load_covariance_model(f"{prefix}.covmodel.txt")  # which checks that U is orthogonal
+        C = np.cov(X, rowvar=False)
+        np.testing.assert_allclose(model.U @ np.diag(model.D) @ model.U.T, C, atol=1e-9 * np.abs(C).max())
 
     def test_uniformize_caps(self, tmp_path, monkeypatch, capsys):
         # At a cap of 12 cells, a 4x3 input fits and so does 2x3; 4x4 and 5x3 have more
@@ -237,6 +238,16 @@ class TestGenData:
         assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", path,
                    "--out", tmp_path / "u") == EXIT_SCHEMA
         assert f"error: {path}: a label is not -1 or +1" in capsys.readouterr().err
+        assert not (tmp_path / "u.train.csv").exists()
+
+    def test_decomposition_that_does_not_reconstruct_is_schema_error(self, tmp_path, monkeypatch, capsys):
+        # No input is known to reach this check; eigenvalues off by one part in 1000 stand in for one.
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"1,2\n3,-1\n4,5\n")
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0] * 1.001, eigh(A)[1]))
+        assert run("gen-data", "--kind", "uniformize", "--input", raw, "--out", tmp_path / "u") == EXIT_SCHEMA
+        assert f"error: {raw}: eigendecomposition does not reconstruct the matrix" in capsys.readouterr().err
         assert not (tmp_path / "u.train.csv").exists()
 
     def test_uniformize_without_input_is_param_error(self, tmp_path, capsys):

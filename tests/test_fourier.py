@@ -224,9 +224,9 @@ class TestThresholdCounting:
     def test_band_is_computed_only_to_label_rows(self, monkeypatch):
         calls = []
 
-        def counted(X, S, W, theta):
+        def counted(X, W, theta):
             calls.append(len(X))
-            return threshold_signs(X, S, W, theta)
+            return threshold_signs(X, W, theta)
 
         monkeypatch.setattr(fourier, "threshold_signs", counted)
         h = LinearThresholdNeuron(np.resize([0.1, 0.2, 0.3, -0.6], 16), 0.0).handle()
@@ -289,8 +289,8 @@ class TestThresholdSigns:
         W, theta = T[:, :-1], T[:, -1]
         X = cube_chunk(W.shape[1], 0, 1 << W.shape[1])
         exact = fraction_signs(X, W, theta)
-        assert threshold_signs(X, X @ W.T - theta, W, theta).tolist() == exact
-        assert [threshold_signs(x, x @ W.T - theta, W, theta).tolist() for x in X] == exact
+        assert threshold_signs(X, W, theta).tolist() == exact
+        assert [threshold_signs(x, W, theta).tolist() for x in X] == exact
 
     def test_a_band_row_that_is_not_pm1_raises(self):
         # 0.03 + 0.06 - 0.09 lies in the band; its rounded products are not the unit's terms.
@@ -557,6 +557,17 @@ class TestChowEstimate:
     def test_non_finite_rejected(self, h_empty, h_vec):
         with pytest.raises(ValueError):
             ChowEstimate(2, h_empty, np.array(h_vec), "mc", epsilon=0.1, delta=0.1, samples=10)
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: ChowEstimate(3, 0.0, np.zeros(2), "exact"), DimensionError, r"h_vec has shape \(2,\), expected \(3,\)"),
+    (lambda: ChowEstimate(2, 0.0, np.zeros(2), "sampled"), ValueError, "unknown mode 'sampled'"),
+    (lambda: ChowEstimate(2, 0.0, np.zeros(2), "exact", epsilon=0.1), ValueError, "exact mode implies epsilon=0"),
+    (lambda: influence(majority3, 3, 3), DimensionError, "index 3 out of range for dimension 3"),
+], ids=["chow-h_vec-length", "chow-unknown-mode", "chow-exact-with-epsilon", "influence-index"])
+def test_refusals(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
 
 
 class TestChowSources:

@@ -107,8 +107,8 @@ class TestForward:
                         np.array([0.1, 0.2, -0.3]), 0.0, fresh_mask(3))
         X = cube_chunk(8, 0, 1 << 8)
         first, second = net.predict(X), net.predict(X[:7])
-        A = threshold_signs(X, net.preactivation(X), net.W1, -net.b1)
-        expected = threshold_signs(A, net.head(A)[:, None], net.W2[None], np.array([-net.b2]))[:, 0]
+        A = threshold_signs(X, net.W1, -net.b1)
+        expected = threshold_signs(A, net.W2[None], np.array([-net.b2]))[:, 0]
         assert first.tobytes() == expected.tobytes() and second.tobytes() == expected[:7].tobytes()
 
 
@@ -171,6 +171,10 @@ class TestActivation:
             num = (a.apply(z + eps) - a.apply(z - eps)) / (2 * eps)
             ana = a.derivative(a.apply(z))
             np.testing.assert_allclose(ana, num, atol=1e-6)
+
+    def test_sign_has_no_derivative(self):
+        with pytest.raises(ValueError, match="sign activation has no usable derivative"):
+            Activation.SIGN.derivative(np.ones(2))
 
     def test_logistic_saturates_without_warning(self):
         # exp(1000) overflows to inf, and 1 / (1 + inf) is the logistic's rounded value 0;

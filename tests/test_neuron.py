@@ -131,6 +131,19 @@ def integer_reach(nrn):
     return sum(map(abs, k)) + abs(k_theta)
 
 
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: LinearThresholdNeuron(np.zeros(0), 0.0), DimensionError, "nonempty vector"),
+    (lambda: LinearThresholdNeuron(np.ones((2, 2)), 0.0), DimensionError, "nonempty vector"),
+    (lambda: alpha_mu(0, 0.5), ValueError, "n must be >= 1"),
+    (lambda: accuracy_bound_p1(chow_exact(MAJ3.handle(), 3), 4, 0.0), DimensionError, "chow dimension 3 != 4"),
+    (lambda: accuracy_bound_lp(chow_exact(MAJ3.handle(), 3), PNorm(1.0), 0.0), ValueError, "1 < p < inf"),
+    (lambda: accuracy_bound_lp(chow_exact(MAJ3.handle(), 3), PNorm(math.inf), 0.0), ValueError, "1 < p < inf"),
+], ids=["ltf-empty-w", "ltf-2d-w", "alpha_mu-n0", "bound_p1-n", "bound_lp-p1", "bound_lp-pinf"])
+def test_refusals(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
+
+
 class TestExactLabels:
     """The handle labels every row with the exact sign of x.w - theta, whatever
     batch the row is evaluated in."""

@@ -147,6 +147,23 @@ class CountingChow:
         return self.inner.estimate(f, n, key=key)
 
 
+def test_constant_unit_with_a_nonzero_row_at_p1(rng):
+    # Unit 1, w = (0.1, 0.1, 0.1) and theta = 5, is constant -1: its coefficient vector
+    # is zero though its row is not. At p = 1 stabilize_subset needs no estimate and
+    # stabilizes it without a warning (warnings are errors here); gmb estimates every
+    # unit and leaves it out.
+    net = BinaryMlp(np.array([[1.0, -1.0, 0.5], [0.1, 0.1, 0.1]]), np.array([0.0, -5.0]), Activation.SIGN,
+                    np.ones(2), 0.0, fresh_mask(2))
+    source = CountingChow(ExactChow())
+    stabilized = stabilize_subset(net, [0, 1], PNorm(1.0), source)
+    assert source.keys == [] and list(stabilized.stabilized_mask) == [True, True]
+    np.testing.assert_array_equal(stabilized.W1[1], [1.0, 1.0, 1.0])
+    model, trace = gmb(net, teacher_dataset(net, rng), SelectionConfig(beta=0.0, p=PNorm(1.0), chow_source=source))
+    assert sorted(source.keys) == [0, 1]
+    assert trace.warnings == ["unit 1 is degenerate (zero coefficient vector: function is constant); delta_r = 0, left out"]
+    assert 1 not in trace.order and list(model.stabilized_mask) == [True, False]
+
+
 def oracle_csv(net, val, cfg, trace, source, algo):
     """trace_to_csv of trace with every number rebuilt from prefix models that
     stabilize_subset builds from source, as selection used to build them."""
@@ -355,6 +372,12 @@ def two_unit_ratio_net():
     b1 = np.zeros(2)
     W2 = np.array([1.0, 0.0])
     return BinaryMlp(W1, b1, Activation.SIGN, W2, 0.0, fresh_mask(2))
+
+
+@pytest.mark.parametrize("beta", [1.5, -0.5, math.nan])
+def test_beta_outside_unit_interval_is_refused(beta):
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+        cfg_p1(beta)
 
 
 class TestGmbc:

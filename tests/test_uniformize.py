@@ -67,13 +67,24 @@ class TestJacobi:
         with pytest.raises(ValueError, match="non-finite"):
             jacobi_eigh(C)
 
+    def test_non_symmetric_rejected(self):
+        # eigh reads only the lower triangle: it would answer 3.618 and 1.382, the
+        # eigenvalues of [[2, 1], [1, 3]], where this matrix has 4.79 and 0.21.
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh(np.array([[2.0, 5.0], [1.0, 3.0]]))
+
+    def test_decomposition_that_does_not_reconstruct_is_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0] * 1.001, eigh(A)[1]))
+        with pytest.raises(ValueError, match="does not reconstruct"):
+            jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
 
 class TestFit:
     def test_standard_gaussian(self, rng):
         X = rng.normal(size=(50000, 2))
         model = fit(X)
-        model.validate()
-        np.testing.assert_allclose(model.C, np.eye(2), atol=0.05)
+        np.testing.assert_allclose(model.U @ np.diag(model.D) @ model.U.T, np.eye(2), atol=0.05)
         np.testing.assert_allclose(model.mean, 0.0, atol=0.05)
         np.testing.assert_allclose(model.thresholds, 0.0, atol=1e-12)
 
@@ -110,7 +121,7 @@ class TestFit:
     def test_sample_covariance_uses_m_minus_1(self):
         X = np.array([[0.0], [2.0]])
         model = fit(X)
-        assert model.C[0, 0] == pytest.approx(2.0)  # ((−1)²+1²)/(2−1)
+        assert model.D[0] == pytest.approx(2.0)  # ((−1)²+1²)/(2−1), the one eigenvalue
 
 
 class TestBinarize:
@@ -191,12 +202,10 @@ class TestSerialization:
         np.testing.assert_array_equal(back.U, model.U)
         np.testing.assert_array_equal(back.D, model.D)
         np.testing.assert_array_equal(back.thresholds, model.thresholds)
-        back.validate()
 
     def test_golden_bytes(self, tmp_path):
         model = CovarianceModel(
             mean=np.array([0.1, -1.0 / 3.0]),
-            C=np.eye(2),
             U=np.array([[0.6, -0.8], [0.8, 0.6]]),
             D=np.array([2.5, 0.5]),
             thresholds=np.array([0.0, -0.2]),
@@ -216,7 +225,7 @@ class TestSerialization:
     @pytest.mark.parametrize("line", ["U.2=1,0", "C=1,0,0,1", "bogus"])
     def test_field_not_read_is_schema_error(self, tmp_path, line):
         path = tmp_path / "cov.txt"
-        save_covariance_model(CovarianceModel(np.zeros(2), np.eye(2), np.eye(2), np.ones(2), np.zeros(2)), path)
+        save_covariance_model(CovarianceModel(np.zeros(2), np.eye(2), np.ones(2), np.zeros(2)), path)
         load_covariance_model(path)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(SchemaError, match="unknown field"):
@@ -258,20 +267,20 @@ class TestSerialization:
             load_covariance_model(path)
 
     def test_shapes_checked_on_construction(self):
-        # d is the length of mean, so a third mean entry makes the 2x2 C the mismatch.
-        with pytest.raises(DimensionError, match=r"C has shape \(2, 2\), expected \(3, 3\)"):
-            CovarianceModel(mean=np.zeros(3), C=np.eye(2), U=np.eye(2), D=np.ones(2), thresholds=np.zeros(2))
+        # d is the length of mean, so a third mean entry makes the 2x2 U the mismatch.
+        with pytest.raises(DimensionError, match=r"U has shape \(2, 2\), expected \(3, 3\)"):
+            CovarianceModel(mean=np.zeros(3), U=np.eye(2), D=np.ones(2), thresholds=np.zeros(2))
         with pytest.raises(ValueError, match="non-finite value in D"):
-            CovarianceModel(mean=np.zeros(2), C=np.eye(2), U=np.eye(2), D=[1.0, np.nan], thresholds=np.zeros(2))
+            CovarianceModel(mean=np.zeros(2), U=np.eye(2), D=[1.0, np.nan], thresholds=np.zeros(2))
 
-    def test_validate_catches_broken_orthogonality(self, rng):
+    @pytest.mark.parametrize("scale", [2.0, 1e200], ids=["doubled", "overflowing"])
+    def test_construction_catches_broken_orthogonality(self, rng, scale):
         model = fit(rng.normal(size=(100, 3)))
-        broken = CovarianceModel(
-            mean=model.mean,
-            C=model.C,
-            U=model.U * 2.0,
-            D=model.D,
-            thresholds=model.thresholds,
-        )
-        with pytest.raises(ValueError):
-            broken.validate()
+        with pytest.raises(ValueError, match="not orthogonal"):
+            CovarianceModel(mean=model.mean, U=model.U * scale, D=model.D, thresholds=model.thresholds)
+
+    def test_loaded_non_orthogonal_u_is_schema_error(self, tmp_path):
+        path = tmp_path / "cov.txt"
+        path.write_text("# covariance-model v1\nd=2\nmean=0,0\nD=1,1\nthresholds=0,0\nU.0=1,1\nU.1=0,1\n")
+        with pytest.raises(SchemaError, match="not orthogonal"):
+            load_covariance_model(path)
