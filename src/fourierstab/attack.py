@@ -181,10 +181,9 @@ class AdvTrainConfig:
 
 
 def adversarial_train(data: LabeledDataset, cfg: TrainConfig, at_cfg: AdvTrainConfig) -> BinaryMlp:
-    """SGD where every batch is replaced by its budgeted loss-maximizing
-    perturbation against the current model; deterministic given cfg.seed.
-
-    With epsilon_l1 = 0 the trajectory is identical to plain train_sgd.
+    """SGD from scratch for at_cfg.epochs epochs, which replace cfg.epochs, where every batch is
+    replaced by its budgeted loss-maximizing perturbation against the current model; deterministic
+    given cfg.seed. With epsilon_l1 = 0 the trajectory is train_sgd's for at_cfg.epochs epochs.
     """
     k = AttackBudget(at_cfg.epsilon_l1).max_flips
 

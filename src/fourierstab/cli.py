@@ -41,11 +41,13 @@ from .network import (
     LabeledDataset,
     TrainConfig,
     accuracy,
+    check_pm1,
     first_layer_ltf,
     fmt_vec,
     fresh_mask,
     load_dataset,
     load_model,
+    parsing,
     read_lines,
     read_table,
     save_dataset,
@@ -196,9 +198,7 @@ def _teacher_labels(kind: str, X: np.ndarray, rng: np.random.Generator, teacher_
         b1 = rng.normal(scale=0.5, size=teacher_width)
         W2 = rng.normal(size=teacher_width)
         return BinaryMlp(W1, b1, Activation.TANH, W2, 0.0, fresh_mask(teacher_width)).predict(X)
-    if kind == "noisy-majority":
-        return sign_pm1(X.sum(axis=1))
-    raise ValueError(f"unknown kind {kind!r}")
+    return sign_pm1(X.sum(axis=1))  # noisy-majority
 
 
 def cmd_gen_data(args) -> None:
@@ -233,12 +233,10 @@ def _gen_data_uniformize(args) -> None:
     labels = read_table(args.labels, read_lines(args.labels), None, "#") if args.labels else np.ones((m, 1))
     if labels.shape != (m, 1):
         raise DimensionError(f"{args.labels}: {labels.shape[0]}x{labels.shape[1]} labels for {m} input rows")
-    if not np.isin(labels, (-1.0, 1.0)).all():
-        raise SchemaError(f"{args.labels}: a label is not -1 or +1")
-    try:
+    with parsing(args.labels):
+        check_pm1(labels, "labels")
+    with parsing(args.input):  # too few rows, a non-finite sample or covariance, or an eigh that fails its check
         model = uniformize.fit(raw)
-    except ValueError as exc:  # too few rows, a non-finite sample or covariance, or an eigh that fails its check
-        raise SchemaError(f"{args.input}: {exc}") from exc
     bits = uniformize.binarize(model, raw)
     (_, path), (_, cov_path) = _output_paths(args)
     save_dataset(LabeledDataset(bits, labels[:, 0], split="train"), path, _config_header(args))
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_number(int, 0), default=0)
         sp.add_argument("--out", required=True)
         if name == "adv-train":
-            sp.add_argument("--at-epochs", type=_number(int, 0), default=2)
+            sp.add_argument("--at-epochs", type=_number(int, 0), default=2, help="replaces --epochs")
             sp.add_argument("--at-epsilon", type=_number(float, 0.0), default=20.0)
         sp.set_defaults(fn=cmd_train)
 

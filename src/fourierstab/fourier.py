@@ -207,7 +207,7 @@ def _threshold_chow_sums(f: ThresholdHandle, n: int) -> np.ndarray:
     def half_sums(terms):  # in cube_chunk's row order: rows from 2^j on flip x_j
         s = np.zeros(1, dtype)
         for v in terms:
-            s = np.concatenate((s + v, s - v))
+            s = np.add.outer(np.array((v, -v), dtype), s).ravel()
         return s
 
     sb = half_sums(k[na:])

@@ -12,6 +12,7 @@ from the layer's weights and decides them exactly on each call.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import os
@@ -352,42 +353,49 @@ def write_document(path, tag: str, fields: dict, header: Optional[str] = None) -
     write_lines(path, [f"# {tag}", *(f"{k}={v}" for k, v in fields.items())], header)
 
 
-def read_lines(path):
-    """Yield a text file's lines without newlines, after the leading '# config:'
-    provenance lines that CLI outputs carry; bytes that are not text raise SchemaError."""
+@contextlib.contextmanager
+def parsing(path):
+    """The block that reads path: a KeyError (a missing field) or ValueError that a reader, or a value it builds,
+    raises in it becomes SchemaError naming path once; a SchemaError and any other error pass unchanged."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = (ln.rstrip("\n") for ln in fh)
-            yield from itertools.dropwhile(lambda ln: ln.startswith("# config:"), lines)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not a text file ({exc})") from exc
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, ValueError) as exc:
+        why = {KeyError: f"missing field {exc}", UnicodeDecodeError: f"not a text file ({exc})"}.get(type(exc), exc)
+        raise SchemaError(f"{path}: {why}") from exc
+
+
+def read_lines(path):
+    """Yield a text file's lines without newlines, after the leading '# config:' provenance lines
+    that CLI outputs carry; bytes that are not text raise UnicodeDecodeError, for parsing(path)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (ln.rstrip("\n") for ln in fh)
+        yield from itertools.dropwhile(lambda ln: ln.startswith("# config:"), lines)
 
 
 def read_table(path, lines: Iterable[str], delimiter: Optional[str] = ",", comments: Optional[str] = None):
-    """The numbers in lines, the text of path, as an (m, k) matrix by np.loadtxt, skipping blank and
-    comment lines; no rows, a ragged row or a cell that is not a number raises SchemaError."""
+    """The numbers in lines, the text of path, as an (m, k) matrix by np.loadtxt, skipping blank and comment lines;
+    in parsing(path), bytes that are not text, no rows, a ragged row or a non-numeric cell raise SchemaError."""
     rows = (ln for ln in lines if ln.strip() and not (comments and ln.lstrip().startswith(comments)))
-    first = next(rows, None)
-    if first is None:  # checked here, or np.loadtxt warns and returns an empty array
-        raise SchemaError(f"{path}: no rows of numbers")
-    try:
+    with parsing(path):
+        first = next(rows, None)
+        if first is None:  # checked here, or np.loadtxt warns and returns an empty array
+            raise ValueError("no rows of numbers")
         return np.loadtxt(itertools.chain([first], rows), delimiter=delimiter, comments=comments, ndmin=2)
-    except SchemaError:  # read_lines' own, for bytes that are not text; it names path already
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def read_document(path, tag: str) -> dict:
     """The fields of a document written by write_document with this tag; a repeated key raises SchemaError."""
-    lines = list(read_lines(path))
-    if not lines or lines[0] != f"# {tag}":
-        raise SchemaError(f"{path}: missing '# {tag}' header")
-    fields = [ln.partition("=")[::2] for ln in lines[1:] if ln]
-    kv = dict(fields)
-    if len(kv) < len(fields):
-        raise SchemaError(f"{path}: a field is given twice")
-    return kv
+    with parsing(path):
+        lines = list(read_lines(path))
+        if not lines or lines[0] != f"# {tag}":
+            raise ValueError(f"missing '# {tag}' header")
+        fields = [ln.partition("=")[::2] for ln in lines[1:] if ln]
+        kv = dict(fields)
+        if len(kv) < len(fields):
+            raise ValueError("a field is given twice")
+        return kv
 
 
 def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
@@ -400,24 +408,19 @@ def save_model(net: BinaryMlp, path, header: Optional[str] = None) -> None:
 
 
 def load_model(path) -> BinaryMlp:
-    kv = read_document(path, "binary-mlp v1")
-    try:
+    with parsing(path):
+        kv = read_document(path, "binary-mlp v1")
         n, t = int(kv.pop("n")), int(kv.pop("t"))
         act = Activation(kv.pop("activation"))
         b2, W2, b1 = float(kv.pop("b2")), floats(kv.pop("W2")), floats(kv.pop("b1"))
-        mask = np.array([{"0": False, "1": True}[c] for c in kv.pop("stabilized_mask").split(",")])
+        mask = np.array([["0", "1"].index(c) for c in kv.pop("stabilized_mask").split(",")], dtype=bool)
         W1 = np.array([floats(kv.pop(f"W1.{j}")) for j in range(t)])
         seed_lineage = kv.pop("seed_lineage", "")
         if kv:
             raise ValueError(f"unknown field(s) {sorted(kv)}")
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed model document ({exc})") from exc
-    if W1.shape != (t, n):
-        raise SchemaError(f"{path}: W1 shape {W1.shape} != ({t}, {n})")
-    try:
+        if W1.shape != (t, n):
+            raise ValueError(f"W1 shape {W1.shape} != ({t}, {n})")
         return BinaryMlp(W1, b1, act, W2, b2, mask, seed_lineage=seed_lineage)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: invalid model ({exc})") from exc
 
 
 def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None:
@@ -427,19 +430,14 @@ def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None
 
 
 def load_dataset(path, split: str = "train") -> LabeledDataset:
-    lines = read_lines(path)
-    header = next(lines, "").strip()
-    if not header.startswith("n="):
-        raise SchemaError(f"{path}: expected 'n=<n>' header, got {header!r}")
-    try:
+    with parsing(path):
+        lines = read_lines(path)
+        header = next(lines, "").strip()
+        if not header.startswith("n="):
+            raise ValueError(f"expected 'n=<n>' header, got {header!r}")
         n = int(header[2:])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: bad header {header!r}") from exc
-    table = read_table(path, lines)
-    if table.shape[1] != n + 1:
-        raise SchemaError(f"{path}: expected {n + 1} columns, got {table.shape[1]}")
-    try:
+        table = read_table(path, lines)
+        if table.shape[1] != n + 1:
+            raise ValueError(f"expected {n + 1} columns, got {table.shape[1]}")
         # Contiguous copies: a column slice is a strided view, and BLAS results can depend on layout.
         return LabeledDataset(np.ascontiguousarray(table[:, :n]), np.ascontiguousarray(table[:, n]), split=split)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc

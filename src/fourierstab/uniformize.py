@@ -12,22 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError
-from .network import floats, fmt_vec, read_document, write_document
+from .errors import DimensionError
+from .network import floats, fmt_vec, parsing, read_document, write_document
 
 
 def jacobi_eigh(C: np.ndarray):
     """(eigenvalues, eigenvectors) of a finite symmetric matrix by np.linalg.eigh,
     eigenvalues descending and each eigenvector's largest-magnitude entry positive.
     A non-finite matrix raises ValueError, where eigh would return NaN eigenvalues; so does
-    one that np.allclose (atol 1e-9) finds not symmetric, whose upper triangle eigh ignores,
-    and a decomposition it finds not to give the matrix back (atol 1e-7 * max(1, max |A|))."""
+    one that is not exactly symmetric, whose upper triangle eigh ignores, and a decomposition
+    that np.allclose finds not to give the matrix back (atol 1e-7 * max(1, max |A|))."""
     A = np.asarray(C, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError("matrix must be square")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
-    if not np.allclose(A, A.T, atol=1e-9):
+    if not np.array_equal(A, A.T):
         raise ValueError("matrix is not symmetric")
     eigvals, V = np.linalg.eigh(A)
     order = np.argsort(-eigvals, kind="stable")
@@ -118,12 +118,10 @@ def save_covariance_model(model: CovarianceModel, path) -> None:
 
 
 def load_covariance_model(path) -> CovarianceModel:
-    kv = read_document(path, "covariance-model v1")
-    try:
+    with parsing(path):
+        kv = read_document(path, "covariance-model v1")
         mean, D, thresholds = (floats(kv.pop(k)) for k in ("mean", "D", "thresholds"))
         U = np.array([floats(kv.pop(f"U.{j}")) for j in range(int(kv.pop("d")))])
         if kv:
             raise ValueError(f"unknown field(s) {sorted(kv)}")
         return CovarianceModel(mean=mean, U=U, D=D, thresholds=thresholds)
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed covariance model ({exc})") from exc

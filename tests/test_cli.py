@@ -237,7 +237,7 @@ class TestGenData:
         monkeypatch.setattr(uniformize, "fit", lambda raw: pytest.fail("fitted"))
         assert run("gen-data", "--kind", "uniformize", "--input", raw, "--labels", path,
                    "--out", tmp_path / "u") == EXIT_SCHEMA
-        assert f"error: {path}: a label is not -1 or +1" in capsys.readouterr().err
+        assert f"error: {path}: labels must be exactly +-1" in capsys.readouterr().err
         assert not (tmp_path / "u.train.csv").exists()
 
     def test_decomposition_that_does_not_reconstruct_is_schema_error(self, tmp_path, monkeypatch, capsys):
@@ -551,6 +551,54 @@ class TestExitCodes:
         assert run("chow", "--model", bad, "--unit", 0,
                    "--out", tmp_path / "o.csv") == EXIT_SCHEMA
 
+    # Each reader: its file's name, a valid file, one number cell in it that a defect replaces
+    # the last byte of, the bytes whose removal drops a field or every row, and the command
+    # that reads the file (tmp is its directory); no command reads a covariance model.
+    _READERS = {
+        "load_model": ("m.txt", b"# binary-mlp v1\nn=2\nt=1\nactivation=sign\nb2=0\nW2=1\nb1=0\n"
+                       b"stabilized_mask=0\nW1.0=1,-1\n", b"W2=1", b"b2=0\n",
+                       lambda path, tmp: ["stabilize", "--model", path, "--out", tmp / "o.txt"]),
+        "load_covariance_model": ("c.covmodel.txt", b"# covariance-model v1\nd=2\nmean=0,0\nD=1,1\n"
+                                  b"thresholds=0,0\nU.0=1,0\nU.1=0,1\n", b"D=1", b"D=1,1\n", None),
+        "load_dataset": ("d.train.csv", b"n=2\n+1,-1,+1\n-1,+1,-1\n", b"n=2\n+1", b"+1,-1,+1\n-1,+1,-1\n",
+                         lambda path, tmp: ["train", "--data", tmp / "d", "--out", tmp / "o.txt"]),
+        "--input": ("raw.csv", b"1,2\n3,-1\n4,5\n", b"1,2", b"1,2\n3,-1\n4,5\n",
+                    lambda path, tmp: ["gen-data", "--kind", "uniformize", "--input", path, "--out", tmp / "u"]),
+        "--labels": ("labels.txt", b"1\n-1\n1\n", b"-1", b"1\n-1\n1\n",
+                     lambda path, tmp: ["gen-data", "--kind", "uniformize", "--input", tmp / "raw.csv",
+                                        "--labels", path, "--out", tmp / "u"]),
+    }
+    _DEFECTS = {"non-utf8": "not a text file", "missing": "missing field '|no rows of numbers",
+                "non-numeric": "could not convert string"}
+
+    @pytest.mark.parametrize("defect", _DEFECTS)
+    @pytest.mark.parametrize("reader", _READERS)
+    def test_defective_input_file_is_schema_error_naming_it_once(self, tmp_path, capsys, reader, defect):
+        name, valid, cell, drop, argv = self._READERS[reader]
+        (tmp_path / "raw.csv").write_bytes(self._READERS["--input"][1])  # the input beside a labels file
+        path = tmp_path / name
+        path.write_bytes(valid)
+        if argv is None:
+            load_covariance_model(path)
+        else:
+            assert run(*argv(path, tmp_path)) == EXIT_OK
+        bad = {"non-utf8": valid.replace(cell, cell[:-1] + b"\xff"), "missing": valid.replace(drop, b""),
+               "non-numeric": valid.replace(cell, cell[:-1] + b"x")}[defect]
+        path.write_bytes(bad)
+        capsys.readouterr()
+        if argv is None:
+            read = lambda: load_covariance_model(path)
+        else:
+            args = build_parser().parse_args([str(a) for a in argv(path, tmp_path)])
+            read = lambda: args.fn(args)
+        with pytest.raises(SchemaError, match=self._DEFECTS[defect]) as info:
+            read()
+        assert str(info.value).startswith(f"{path}: ") and str(info.value).count(str(path)) == 1
+        if argv is not None:
+            assert run(*argv(path, tmp_path)) == EXIT_SCHEMA
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
+
     def test_dimension_error(self, workspace, tmp_path):
         ws, prefix, _ = workspace
         small = tmp_path / "small.txt"
@@ -617,7 +665,8 @@ class TestExitCodes:
             load_model(model)
         assert run("eval", "--model", model, "--data", prefix, "--epsilons", "0,2",
                    "--out", tmp_path / "o.csv") == EXIT_SCHEMA
-        assert f"error: {model}: invalid model" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {model}: non-finite weight" in err and err.count(str(model)) == 1
         assert not (tmp_path / "o.csv").exists()
 
     def test_dataset_without_features_is_schema_error(self, tmp_path, capsys):

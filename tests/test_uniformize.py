@@ -73,6 +73,12 @@ class TestJacobi:
         with pytest.raises(ValueError, match="not symmetric"):
             jacobi_eigh(np.array([[2.0, 5.0], [1.0, 3.0]]))
 
+    def test_nearly_symmetric_rejected(self):
+        # Within np.allclose's default rtol of 1e-5 of its transpose, yet eigh would
+        # answer for the lower triangle alone; a sample covariance is exactly symmetric.
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh(np.array([[2.0, 2.0], [1.99998, 3.0]]))
+
     def test_decomposition_that_does_not_reconstruct_is_rejected(self, monkeypatch):
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0] * 1.001, eigh(A)[1]))
