@@ -1,6 +1,6 @@
 """Fourier-analytic weight stabilization for binary-input neural networks.
 
-Subpackages: fourier (coefficients over the Boolean cube), neuron
+Modules: fourier (coefficients over the Boolean cube, the +-1 sign), neuron
 (closed-form stabilization and accuracy-loss bounds), network (two-layer
 +-1-input MLP), selection (which units to stabilize), attack (greedy bit-flip
 evasion and adversarial training), uniformize (Gaussian feature

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError
-from .network import BinaryMlp, LabeledDataset, TrainConfig, check_pm1, train_sgd
+from .fourier import check_pm1
+from .network import BinaryMlp, LabeledDataset, TrainConfig, train_sgd
 
 # The l1 distance between two +-1 vectors that differ in one coordinate.
 FLIP_L1_COST = 2.0

@@ -33,7 +33,7 @@ import numpy as np
 from . import selection, uniformize
 from .attack import FLIP_L1_COST, AdvTrainConfig, AttackBudget, adversarial_train, attack_curve, greedy_flips
 from .errors import CapacityError, DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ExactChow, MonteCarloChow
+from .fourier import ExactChow, MonteCarloChow, check_pm1, sign_pm1
 from .network import (
     RESCALE_MODES,
     Activation,
@@ -41,7 +41,6 @@ from .network import (
     LabeledDataset,
     TrainConfig,
     accuracy,
-    check_pm1,
     first_layer_ltf,
     fmt_vec,
     fresh_mask,
@@ -57,7 +56,7 @@ from .network import (
     unit_chow,
     write_lines,
 )
-from .neuron import LinearThresholdNeuron, PNorm, accuracy_bound_lp, accuracy_bound_p1, sign_pm1
+from .neuron import LinearThresholdNeuron, PNorm, accuracy_bound_lp, accuracy_bound_p1
 
 EXIT_OK = 0
 EXIT_PARAMS = 2

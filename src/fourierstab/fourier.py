@@ -15,6 +15,9 @@ it each sum near 0, in a unit's handle, ThresholdHandle, and in network's sign
 layers. Counting sums it over the two halves of the inputs, about 2^(n/2)
 half-sums each, for a unit's exact Chow parameters, builds no cube row, and
 refuses a unit only when a half has over ROW_CAP half-sums (n >= 45).
+
+sign_pm1, with sign(0) = +1, is the package's one sign of a value that must be +-1,
+and check_pm1 its one test that inputs, labels and band rows are exactly +-1.
 """
 
 from __future__ import annotations
@@ -134,6 +137,12 @@ def sign_pm1(z: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
 
 
+def check_pm1(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of a is exactly +1 or -1."""
+    if not np.all(np.abs(a) == 1.0):
+        raise ValueError(f"{what} must be exactly +-1")
+
+
 def _integer_form(w: np.ndarray, theta: float) -> tuple[list[int], int]:
     """Integers k and k_theta with w = k * 2^-e and theta = k_theta * 2^-e for one e:
     every float is an integer times a power of two."""
@@ -152,7 +161,7 @@ def threshold_signs(X: np.ndarray, W: np.ndarray, theta: np.ndarray) -> np.ndarr
     so outside the band 2(n+1)*eps*(||w||_1 + |theta|) the computed sign is the exact one.
     Within it the unit's integer form (k, k_theta) decides: the sign is that of the row
     times k minus k_theta in integers, int64 when sum |k| + |k_theta| < 2^63 and Python
-    ints above, and a row that is not exactly +-1 raises ValueError."""
+    ints above, and a row that is not exactly +-1 fails check_pm1 with ValueError."""
     S = X @ W.T - theta
     out = sign_pm1(S)
     X2, S2, out2 = np.atleast_2d(X, S, out)  # one row: one-row views
@@ -162,11 +171,9 @@ def threshold_signs(X: np.ndarray, W: np.ndarray, theta: np.ndarray) -> np.ndarr
         k, k_theta = _integer_form(W[j], theta[j])
         r = np.flatnonzero(in_band[:, j])
         Xr = X2[r]
-        if (np.abs(Xr) != 1.0).any():
-            raise ValueError("a sum decided in integers has a row that is not +-1")
+        check_pm1(Xr, "a row of a sum decided in integers")
         dtype = np.int64 if sum(map(abs, k)) + abs(k_theta) < 1 << 63 else object
-        s = Xr.astype(np.int64) @ np.array(k, dtype) - k_theta
-        out2[r, j] = np.where(s >= 0, 1.0, -1.0)
+        out2[r, j] = sign_pm1(Xr.astype(np.int64) @ np.array(k, dtype) - k_theta)
     return out
 
 

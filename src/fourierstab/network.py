@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ChowEstimate, ExactChow, MonteCarloChow, sign_pm1, threshold_signs
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow, check_pm1, sign_pm1, threshold_signs
 from .neuron import LinearThresholdNeuron, PNorm, norm, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
@@ -144,12 +144,6 @@ class BinaryMlp:
 
 def fresh_mask(t: int) -> np.ndarray:
     return np.zeros(t, dtype=bool)
-
-
-def check_pm1(a: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every entry of a is exactly +1 or -1."""
-    if not np.all(np.abs(a) == 1.0):
-        raise ValueError(f"{what} must be exactly +-1")
 
 
 @dataclass(frozen=True)

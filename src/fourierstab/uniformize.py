@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CapacityError, DimensionError
+from .fourier import ROW_CAP, sign_pm1
 from .network import floats, fmt_vec, parsing, read_document, write_document
 
 
@@ -41,18 +42,17 @@ def jacobi_eigh(C: np.ndarray):
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """A fit's mean, eigenvectors U (one per column), eigenvalues D and thresholds, but not
-    its covariance, U diag(D) U.T. Shapes, finiteness and U.T @ U = I (np.allclose, atol
+    """A fit's mean, eigenvectors U (one per column) and eigenvalues D, but not its
+    covariance, U diag(D) U.T. Shapes, finiteness and U.T @ U = I (np.allclose, atol
     1e-9) are checked as the model is built, so a loaded model is checked as a fitted one is."""
 
     mean: np.ndarray
     U: np.ndarray
     D: np.ndarray
-    thresholds: np.ndarray
 
     def __post_init__(self):
         d = np.size(self.mean)
-        for name, shape in (("mean", (d,)), ("U", (d, d)), ("D", (d,)), ("thresholds", (d,))):
+        for name, shape in (("mean", (d,)), ("U", (d, d)), ("D", (d,))):
             a = np.asarray(getattr(self, name), dtype=np.float64)
             if a.shape != shape:
                 raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
@@ -80,30 +80,27 @@ def fit(samples: np.ndarray) -> CovarianceModel:
     if not np.isfinite(C).all():
         raise ValueError("the samples are not finite, or their covariance leaves the float range")
     D, U = jacobi_eigh(C)
-    proj = Xc @ U
-    thresholds = proj.mean(axis=0)
-    # The centered projections have exact mean zero; remove accumulation
-    # noise so the >=-threshold tie rule fires at the boundary.
-    scale = max(1.0, float(np.max(np.abs(proj)))) if proj.size else 1.0
-    thresholds[np.abs(thresholds) < 1e-12 * scale] = 0.0
-    return CovarianceModel(mean=mean, U=U, D=D, thresholds=thresholds)
+    return CovarianceModel(mean=mean, U=U, D=D)
 
 
 def binarize(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
-    """Project onto the decorrelating basis and threshold each coordinate at
-    its mean; ties map to +1."""
+    """The sign of each coordinate of x - mean in the decorrelating basis U, with
+    sign(0) = +1: over the fitted samples each coordinate's mean is 0 in exact
+    arithmetic, so 0 is its threshold, and the mean itself maps to all +1."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise DimensionError(f"input dimension {x.shape[-1]} != {model.d}")
-    z = (x - model.mean) @ model.U
-    return np.where(z >= model.thresholds, 1.0, -1.0)
+    return sign_pm1((x - model.mean) @ model.U)
 
 
 def chi_square_uniformity(bits: np.ndarray) -> tuple[float, int]:
     """Chi-square statistic of the 2^d cell counts against uniform, with the
-    degrees of freedom; the caller supplies the critical value."""
+    degrees of freedom; the caller supplies the critical value. Over ROW_CAP
+    cells raise CapacityError before any count."""
     B = np.asarray(bits)
     m, d = B.shape
+    if 1 << d > ROW_CAP:
+        raise CapacityError(f"d={d} has {1 << d} cells, over the cap of {ROW_CAP}")
     cells = ((B > 0).astype(np.int64) << np.arange(d, dtype=np.int64)).sum(axis=1)
     counts = np.bincount(cells, minlength=1 << d).astype(np.float64)
     expected = m / float(1 << d)
@@ -112,7 +109,7 @@ def chi_square_uniformity(bits: np.ndarray) -> tuple[float, int]:
 
 
 def save_covariance_model(model: CovarianceModel, path) -> None:
-    fields = {"d": model.d, **{k: fmt_vec(getattr(model, k)) for k in ("mean", "D", "thresholds")}}
+    fields = {"d": model.d, **{k: fmt_vec(getattr(model, k)) for k in ("mean", "D")}}
     fields.update((f"U.{j}", fmt_vec(row)) for j, row in enumerate(model.U))
     write_document(path, "covariance-model v1", fields)
 
@@ -120,8 +117,8 @@ def save_covariance_model(model: CovarianceModel, path) -> None:
 def load_covariance_model(path) -> CovarianceModel:
     with parsing(path):
         kv = read_document(path, "covariance-model v1")
-        mean, D, thresholds = (floats(kv.pop(k)) for k in ("mean", "D", "thresholds"))
+        mean, D = (floats(kv.pop(k)) for k in ("mean", "D"))
         U = np.array([floats(kv.pop(f"U.{j}")) for j in range(int(kv.pop("d")))])
         if kv:
             raise ValueError(f"unknown field(s) {sorted(kv)}")
-        return CovarianceModel(mean=mean, U=U, D=D, thresholds=thresholds)
+        return CovarianceModel(mean=mean, U=U, D=D)

@@ -559,7 +559,7 @@ class TestExitCodes:
                        b"stabilized_mask=0\nW1.0=1,-1\n", b"W2=1", b"b2=0\n",
                        lambda path, tmp: ["stabilize", "--model", path, "--out", tmp / "o.txt"]),
         "load_covariance_model": ("c.covmodel.txt", b"# covariance-model v1\nd=2\nmean=0,0\nD=1,1\n"
-                                  b"thresholds=0,0\nU.0=1,0\nU.1=0,1\n", b"D=1", b"D=1,1\n", None),
+                                  b"U.0=1,0\nU.1=0,1\n", b"D=1", b"D=1,1\n", None),
         "load_dataset": ("d.train.csv", b"n=2\n+1,-1,+1\n-1,+1,-1\n", b"n=2\n+1", b"+1,-1,+1\n-1,+1,-1\n",
                          lambda path, tmp: ["train", "--data", tmp / "d", "--out", tmp / "o.txt"]),
         "--input": ("raw.csv", b"1,2\n3,-1\n4,5\n", b"1,2", b"1,2\n3,-1\n4,5\n",

@@ -296,7 +296,7 @@ class TestThresholdSigns:
         # 0.03 + 0.06 - 0.09 lies in the band; its rounded products are not the unit's terms.
         h = LinearThresholdNeuron(np.array([0.1, 0.2, 0.3]), 0.0).handle()
         assert h(np.array([1.0, 1.0, -1.0])) == 1.0
-        with pytest.raises(ValueError, match="not \\+-1"):
+        with pytest.raises(ValueError, match="must be exactly \\+-1"):
             h(np.array([0.3, 0.3, -0.3]))
 
     def test_a_band_row_that_is_not_pm1_raises_whatever_the_integer_form(self):
@@ -306,7 +306,7 @@ class TestThresholdSigns:
         for w in ([1.0, 1.0, 1.0], [1.0, 2.0**-60, 1.0]):
             net = BinaryMlp(np.array([w]), np.zeros(1), Activation.SIGN, np.ones(1), 0.0, fresh_mask(1))
             for label in (LinearThresholdNeuron(np.array(w), 0.0).handle(), net.hidden):
-                with pytest.raises(ValueError, match="not \\+-1"):
+                with pytest.raises(ValueError, match="must be exactly \\+-1"):
                     label(row)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fourierstab.errors import DimensionError, SchemaError
+from fourierstab.errors import CapacityError, DimensionError, SchemaError
 from fourierstab.uniformize import (
     CovarianceModel,
     binarize,
@@ -92,13 +92,6 @@ class TestFit:
         model = fit(X)
         np.testing.assert_allclose(model.U @ np.diag(model.D) @ model.U.T, np.eye(2), atol=0.05)
         np.testing.assert_allclose(model.mean, 0.0, atol=0.05)
-        np.testing.assert_allclose(model.thresholds, 0.0, atol=1e-12)
-
-    def test_thresholds_are_projection_means(self, rng):
-        X = rng.normal(size=(500, 4)) @ rng.normal(size=(4, 4)) + rng.normal(size=4)
-        model = fit(X)
-        proj = (X - model.mean) @ model.U
-        np.testing.assert_allclose(model.thresholds, proj.mean(axis=0), atol=1e-12)
 
     def test_perfectly_correlated_pair_rank_one(self, rng):
         x = rng.normal(size=1000)
@@ -135,6 +128,12 @@ class TestBinarize:
         X = rng.normal(size=(200, 3))
         model = fit(X)
         np.testing.assert_array_equal(binarize(model, model.mean), np.ones(3))
+
+    def test_mean_of_offset_samples_maps_to_all_plus_one(self):
+        # The float column means of these projections are about 1e-9, not 0: thresholded
+        # at them instead of at 0, the mean itself binarizes to [1, -1, 1, 1].
+        model = fit(np.random.default_rng(0).normal(size=(2000, 4)) + 1e6)
+        np.testing.assert_array_equal(binarize(model, model.mean), np.ones(4))
 
     def test_single_feature_above_mean(self, rng):
         X = rng.normal(size=(200, 1))
@@ -181,6 +180,11 @@ class TestChiSquareUniformity:
         stat, _ = chi_square_uniformity(bits)
         assert stat == pytest.approx(3 * 64.0)
 
+    def test_too_many_cells_is_capacity_error(self):
+        # 2^23 cells would cost 128 MiB of counts before any check.
+        with pytest.raises(CapacityError, match="d=23"):
+            chi_square_uniformity(np.ones((2, 23)))
+
     def test_gaussian_pipeline_rarely_rejects(self, rng):
         # 2^d-cell goodness-of-fit on binarized Gaussians: at significance
         # 0.01 at most a few rejections across seeded trials.
@@ -207,14 +211,12 @@ class TestSerialization:
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.U, model.U)
         np.testing.assert_array_equal(back.D, model.D)
-        np.testing.assert_array_equal(back.thresholds, model.thresholds)
 
     def test_golden_bytes(self, tmp_path):
         model = CovarianceModel(
             mean=np.array([0.1, -1.0 / 3.0]),
             U=np.array([[0.6, -0.8], [0.8, 0.6]]),
             D=np.array([2.5, 0.5]),
-            thresholds=np.array([0.0, -0.2]),
         )
         path = tmp_path / "cov.txt"
         save_covariance_model(model, path)
@@ -223,15 +225,14 @@ class TestSerialization:
             b"d=2\n"
             b"mean=0.10000000000000001,-0.33333333333333331\n"
             b"D=2.5,0.5\n"
-            b"thresholds=0,-0.20000000000000001\n"
             b"U.0=0.59999999999999998,-0.80000000000000004\n"
             b"U.1=0.80000000000000004,0.59999999999999998\n"
         )
 
-    @pytest.mark.parametrize("line", ["U.2=1,0", "C=1,0,0,1", "bogus"])
+    @pytest.mark.parametrize("line", ["U.2=1,0", "C=1,0,0,1", "thresholds=0,0", "bogus"])
     def test_field_not_read_is_schema_error(self, tmp_path, line):
         path = tmp_path / "cov.txt"
-        save_covariance_model(CovarianceModel(np.zeros(2), np.eye(2), np.ones(2), np.zeros(2)), path)
+        save_covariance_model(CovarianceModel(np.zeros(2), np.eye(2), np.ones(2)), path)
         load_covariance_model(path)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(SchemaError, match="unknown field"):
@@ -256,11 +257,10 @@ class TestSerialization:
         [
             ("mean", lambda v: v + ",0.5"),
             ("D", lambda v: v.split(",")[0]),
-            ("thresholds", lambda v: v + ",0"),
             ("U.1", lambda v: v + ",1"),
             ("U.0", lambda v: "inf," + v.split(",", 1)[1]),
         ],
-        ids=["extra-mean-entry", "short-D", "extra-threshold", "long-U-row", "inf-in-U"],
+        ids=["extra-mean-entry", "short-D", "long-U-row", "inf-in-U"],
     )
     def test_inconsistent_document_is_schema_error(self, rng, tmp_path, key, edit):
         # With one extra mean entry the document used to load as d=3 with a 2x2 U.
@@ -275,18 +275,18 @@ class TestSerialization:
     def test_shapes_checked_on_construction(self):
         # d is the length of mean, so a third mean entry makes the 2x2 U the mismatch.
         with pytest.raises(DimensionError, match=r"U has shape \(2, 2\), expected \(3, 3\)"):
-            CovarianceModel(mean=np.zeros(3), U=np.eye(2), D=np.ones(2), thresholds=np.zeros(2))
+            CovarianceModel(mean=np.zeros(3), U=np.eye(2), D=np.ones(2))
         with pytest.raises(ValueError, match="non-finite value in D"):
-            CovarianceModel(mean=np.zeros(2), U=np.eye(2), D=[1.0, np.nan], thresholds=np.zeros(2))
+            CovarianceModel(mean=np.zeros(2), U=np.eye(2), D=[1.0, np.nan])
 
     @pytest.mark.parametrize("scale", [2.0, 1e200], ids=["doubled", "overflowing"])
     def test_construction_catches_broken_orthogonality(self, rng, scale):
         model = fit(rng.normal(size=(100, 3)))
         with pytest.raises(ValueError, match="not orthogonal"):
-            CovarianceModel(mean=model.mean, U=model.U * scale, D=model.D, thresholds=model.thresholds)
+            CovarianceModel(mean=model.mean, U=model.U * scale, D=model.D)
 
     def test_loaded_non_orthogonal_u_is_schema_error(self, tmp_path):
         path = tmp_path / "cov.txt"
-        path.write_text("# covariance-model v1\nd=2\nmean=0,0\nD=1,1\nthresholds=0,0\nU.0=1,1\nU.1=0,1\n")
+        path.write_text("# covariance-model v1\nd=2\nmean=0,0\nD=1,1\nU.0=1,1\nU.1=0,1\n")
         with pytest.raises(SchemaError, match="not orthogonal"):
             load_covariance_model(path)
