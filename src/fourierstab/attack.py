@@ -10,11 +10,19 @@ flipped row; they can differ from that matmul in the last bits. Whether a
 flip changes the prediction is still decided by a forward pass of the
 flipped row. A bit flip costs FLIP_L1_COST = 2 in l1, so a budget epsilon
 allows floor(epsilon/2) flips.
+
+The greedy attack splits its rows into blocks that share nothing and runs them
+on every CPU of the process's affinity mask, one thread a CPU; each block's
+arithmetic is the same on any thread, so results do not depend on the CPU
+count, and memory is one block's variant buffer per thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +59,38 @@ class AttackOutcome:
 # Single-flip variants evaluated per chunk of rows: a chunk holds
 # _CHUNK_VARIANTS // n rows, so peak memory stays bounded whatever the batch.
 _CHUNK_VARIANTS = 4096
+
+# Threads that run greedy_flips' row blocks: the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _on_every_cpu(fn, items) -> None:
+    """Call fn(item) for every item of a sequence; calls on different items must
+    share nothing that needs a lock.
+
+    The calling thread and w - 1 started threads, w = min(_WORKERS, len(items)),
+    take the items round-robin; with one item no thread starts. Each started
+    thread runs in a copy of the caller's context, where numpy keeps its errstate.
+    An exception in any of them is raised here once all have finished.
+    """
+    w = max(1, min(_WORKERS, len(items)))
+    errors = []
+
+    def work(share) -> None:
+        try:
+            for item in share:
+                fn(item)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, items[i::w])) for i in range(1, w)]
+    for thread in threads:
+        thread.start()
+    work(items[0::w])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,6 +131,9 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, 
     the row stops. Given clean, the +-1 predictions of X's rows, row i stops
     at the first flip after which its prediction differs from clean[i], and
     changed[i] is that flip's number, 0 if none; without it changed is all 0.
+    Blocks of _CHUNK_VARIANTS // n rows run in parallel on every CPU of the
+    affinity mask, each with its own variant buffer of about 8 * _CHUNK_VARIANTS
+    * t bytes; the outputs are the same on any number of CPUs.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -106,7 +149,8 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, 
     order = np.full((m, rounds), -1, dtype=np.intp)
     changed = np.zeros(m, dtype=np.intp)
     step = max(1, _CHUNK_VARIANTS // n)
-    for lo in range(0, m, step):
+
+    def block(lo: int) -> None:
         Z, yc = X[lo : lo + step].copy(), y[lo : lo + step]
         flipped = np.zeros(Z.shape, dtype=bool)
         live = np.arange(len(Z))
@@ -122,7 +166,9 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, 
                 changed[lo + live[first]] = r + 1
                 live = live[~first]
                 if not live.size:
-                    break
+                    return
+
+    _on_every_cpu(block, range(0, m, step))
     return order, changed
 
 

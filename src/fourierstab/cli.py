@@ -22,6 +22,7 @@ ValueError.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import shlex
@@ -493,5 +494,13 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The `fourierstab` command: main() on sys.argv, exiting with its code. The objects the
+    imports left are frozen first, so the garbage collections at exit skip them; main() does
+    not freeze, since a process that calls it many times would keep every later cycle alive."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -86,10 +86,13 @@ def fit(samples: np.ndarray) -> CovarianceModel:
 def binarize(model: CovarianceModel, x: np.ndarray) -> np.ndarray:
     """The sign of each coordinate of x - mean in the decorrelating basis U, with
     sign(0) = +1: over the fitted samples each coordinate's mean is 0 in exact
-    arithmetic, so 0 is its threshold, and the mean itself maps to all +1."""
+    arithmetic, so 0 is its threshold, and the mean itself maps to all +1.
+    A non-finite coordinate, which has no sign to give, raises ValueError."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise DimensionError(f"input dimension {x.shape[-1]} != {model.d}")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains non-finite coordinates")
     return sign_pm1((x - model.mean) @ model.U)
 
 

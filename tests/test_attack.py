@@ -1,10 +1,13 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fourierstab import attack
 from fourierstab.attack import (
     _CHUNK_VARIANTS,
     AdvTrainConfig,
@@ -335,6 +338,97 @@ class TestGreedyFlips:
             assert len(calls) == 1 + len(out.flips)
             rounds.append(len(out.flips))
         assert 4 in rounds and min(rounds) < 4  # rows that stop early and rows that use the budget
+
+
+class TestParallelBlocks:
+    """greedy_flips' row blocks on several threads; attack._WORKERS sets how many."""
+
+    N = 8
+    M = 4 * (_CHUNK_VARIANTS // N) + 37  # five blocks
+
+    def problem(self, rng):
+        net = random_mlp(rng, self.N)
+        X = rng.choice([-1.0, 1.0], size=(self.M, self.N))
+        return net, X, rng.choice([-1.0, 1.0], size=self.M), net.predict(X)
+
+    def threads_of_impacts(self, monkeypatch):
+        """Patch _impacts to record (thread, np.geterr()) of every call."""
+        seen, impacts = [], attack._impacts
+        monkeypatch.setattr(attack, "_impacts", lambda *a: seen.append((threading.current_thread(), np.geterr())) or impacts(*a))
+        return seen
+
+    @pytest.mark.parametrize("workers", [3, 16])  # 16: more threads than CPUs
+    def test_outputs_do_not_depend_on_worker_count(self, rng, monkeypatch, workers):
+        net, X, y, clean = self.problem(rng)
+        seen = self.threads_of_impacts(monkeypatch)
+        monkeypatch.setattr(attack, "_WORKERS", 1)
+        expected = [greedy_flips(net, X, y, 6, c) for c in (clean, None)]
+        serial_calls = len(seen)
+        seen.clear()
+        monkeypatch.setattr(attack, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [greedy_flips(net, X, y, 6, c) for c in (clean, None)]
+        finally:
+            sys.setswitchinterval(interval)
+        started = min(workers, 5) - 1  # threads a call starts besides the caller's
+        assert len({thread for thread, _ in seen}) == 1 + 2 * started
+        assert len(seen) == serial_calls  # each block runs once
+        for (order, changed), (want_order, want_changed) in zip(got, expected):
+            assert order.tobytes() == want_order.tobytes()
+            assert changed.tobytes() == want_changed.tobytes()
+
+    def test_every_block_sees_the_callers_errstate(self, rng, monkeypatch):
+        net, X, y, clean = self.problem(rng)
+        monkeypatch.setattr(attack, "_WORKERS", 3)
+        seen = self.threads_of_impacts(monkeypatch)
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            greedy_flips(net, X, y, 3, clean)
+        assert len({thread for thread, _ in seen}) == 3
+        assert all(state == caller for _, state in seen)
+
+    def test_exception_in_a_worker_reaches_the_caller(self, rng, monkeypatch):
+        net, X, y, clean = self.problem(rng)
+        monkeypatch.setattr(attack, "_WORKERS", 3)
+        impacts = attack._impacts
+
+        def fail_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("in a worker")
+            return impacts(*args)
+
+        monkeypatch.setattr(attack, "_impacts", fail_off_the_main_thread)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="in a worker"):
+            greedy_flips(net, X, y, 3, clean)
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, rng, monkeypatch):
+        net = random_mlp(rng, self.N)
+        X = rng.choice([-1.0, 1.0], size=(_CHUNK_VARIANTS // self.N, self.N))
+        monkeypatch.setattr(attack, "_WORKERS", 3)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        greedy_flips(net, X, np.ones(len(X)), 3)
+        assert started == []
+
+    def test_peak_memory_is_one_variant_buffer_per_worker(self, rng, monkeypatch):
+        n, t, workers = 64, 128, 3
+        step = _CHUNK_VARIANTS // n
+        net = random_mlp(rng, n, t=t)
+        X = rng.choice([-1.0, 1.0], size=(4 * step, n))
+        y = rng.choice([-1.0, 1.0], size=len(X))
+        monkeypatch.setattr(attack, "_WORKERS", workers)
+        greedy_flips(net, X[:2], y[:2], 1)
+        tracemalloc.start()
+        try:
+            greedy_flips(net, X, y, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 1.25 * step * n * t * 8
 
 
 class TestJsmaMaxloss:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import math
 import os
@@ -1182,6 +1183,23 @@ def test_config_value_with_a_line_break_is_param_error(workspace, tmp_path, caps
     assert exc.value.code == EXIT_PARAMS
     assert "argument --data: a line break would split the '# config:' line" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_main_in_process_freezes_nothing(workspace, tmp_path):
+    _, prefix, model = workspace
+    frozen = gc.get_freeze_count()
+    assert run("eval", "--model", model, "--data", prefix, "--epsilons", "0,2", "--out", tmp_path / "e.csv") == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_then_exits_with_mains_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_PARAMS)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == EXIT_PARAMS
+    assert calls == ["freeze", "main"]
 
 
 def test_files_are_utf8_in_any_locale(tmp_path):

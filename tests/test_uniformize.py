@@ -146,6 +146,11 @@ class TestBinarize:
         with pytest.raises(DimensionError):
             binarize(model, np.zeros(2))
 
+    def test_non_finite_coordinate_is_value_error(self, rng):
+        model = fit(rng.normal(size=(100, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            binarize(model, [np.nan, np.inf, 0.0])
+
     def test_near_uniform_marginals_and_correlations(self, rng):
         # Correlated Gaussian input; after decorrelation + thresholding the
         # bits should be balanced and pairwise nearly uncorrelated.
