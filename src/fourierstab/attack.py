@@ -112,15 +112,6 @@ def _impacts(net: BinaryMlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -y[:, None] * variant) - np.logaddexp(0.0, -y * base)[:, None]
 
 
-def flip_impact(net: BinaryMlp, x, y: float) -> np.ndarray:
-    """Loss increase from flipping each single coordinate of x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({net.n},)")
-    check_pm1(x, "features")
-    return _impacts(net, x[None, :], np.array([y], dtype=np.float64))[0]
-
-
 def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, np.ndarray]:
     """Greedy highest-impact bit-flip path of every row of X against labels y.
 

@@ -94,18 +94,6 @@ class ChowEstimate:
             raise ValueError("exact mode implies epsilon=0 and samples=0")
 
 
-def parity(subset, x) -> float:
-    """Product of the coordinates of x selected by subset; empty product is +1."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    out = 1.0
-    for i in subset:
-        if not 0 <= i < n:
-            raise DimensionError(f"index {i} out of range for dimension {n}")
-        out = out * x[..., i]
-    return out
-
-
 def mc_sample_count(n: int, epsilon: float, delta: float) -> int | float:
     """Hoeffding sample size with a union bound over the n+1 coefficients.
 
@@ -284,15 +272,6 @@ def influence(f, i: int, n: int) -> float:
         raise DimensionError(f"index {i} out of range for dimension {n}")
     flip = np.where(np.arange(n) == i, -1.0, 1.0)
     return disagreement_exact(f, lambda X: f(X * flip), n)
-
-
-def plancherel_inner(f, g, n: int) -> float:
-    """E_x f(x)g(x) by direct enumeration; oracle for the coefficient-side sum."""
-
-    def dot(X):
-        return np.asarray(f(X), dtype=np.float64) @ np.asarray(g(X), dtype=np.float64)
-
-    return float(cube_mean(dot, n))
 
 
 def chow_all(f, n: int) -> np.ndarray:

@@ -121,12 +121,6 @@ def degree_one(chow: ChowEstimate, n: int) -> np.ndarray:
     return chow.h_vec
 
 
-def robustness_analytic(chow: ChowEstimate, nrn: LinearThresholdNeuron, p: PNorm) -> float:
-    """Coefficient-side robustness (sum_i w_i h_i - h_empty*theta)/||w||_q."""
-    h_vec = degree_one(chow, nrn.n)
-    return (float(nrn.w @ h_vec) - chow.h_empty * nrn.theta) / norm(nrn.w, p.q)
-
-
 def stabilized_weights(h_vec: np.ndarray, p: PNorm) -> np.ndarray:
     """Closed-form maximizer of the mean signed distance, from h_vec alone.
 

@@ -15,7 +15,6 @@ from fourierstab.attack import (
     _impacts,
     adversarial_train,
     attack_curve,
-    flip_impact,
     greedy_flips,
     jsma,
     jsma_maxloss_batch,
@@ -160,7 +159,13 @@ class TestImpacts:
         with pytest.raises(ValueError, match="exactly"):
             greedy_flips(MAJ3_NET, np.array([[1.0, 0.5, 1.0]]), np.ones(1), 1)
         with pytest.raises(ValueError, match="exactly"):
-            flip_impact(MAJ3_NET, np.array([1.0, 1.0, np.nan]), 1.0)
+            greedy_flips(MAJ3_NET, np.array([[1.0, 1.0, np.nan]]), np.ones(1), 1)
+
+
+def row_impacts(net, x, y):
+    """Loss increase from flipping each coordinate of the one row x with label y,
+    by _impacts, the code every command's attack runs."""
+    return _impacts(net, np.asarray(x, dtype=np.float64)[None, :], np.array([y]))[0]
 
 
 class TestFlipImpact:
@@ -169,7 +174,7 @@ class TestFlipImpact:
         net = BinaryMlp(
             np.ones((1, 3)), np.zeros(1), Activation.TANH, np.ones(1), 0.0, fresh_mask(1)
         )
-        impacts = flip_impact(net, np.array([1.0, 1.0, 1.0]), 1.0)
+        impacts = row_impacts(net, np.array([1.0, 1.0, 1.0]), 1.0)
         assert impacts[0] == pytest.approx(impacts[1], abs=1e-12)
         assert impacts[1] == pytest.approx(impacts[2], abs=1e-12)
         assert np.all(impacts > 0.0)
@@ -179,12 +184,12 @@ class TestFlipImpact:
         net = BinaryMlp(
             np.ones((1, 3)), np.zeros(1), Activation.TANH, np.ones(1), 0.0, fresh_mask(1)
         )
-        impacts = flip_impact(net, np.array([-1.0, 1.0, 1.0]), 1.0)
+        impacts = row_impacts(net, np.array([-1.0, 1.0, 1.0]), 1.0)
         assert impacts[0] < 0.0
         assert impacts[1] > 0.0 and impacts[2] > 0.0
 
     def test_sign_unit_single_flip_cannot_move_unanimous_majority(self):
-        impacts = flip_impact(MAJ3_NET, np.array([1.0, 1.0, 1.0]), 1.0)
+        impacts = row_impacts(MAJ3_NET, np.array([1.0, 1.0, 1.0]), 1.0)
         np.testing.assert_array_equal(impacts, np.zeros(3))
 
     def test_matches_explicit_loss_difference(self, rng):
@@ -192,7 +197,7 @@ class TestFlipImpact:
         net = ltf_net(w, theta=0.3)
         x = rng.choice([-1.0, 1.0], size=5)
         y = 1.0
-        impacts = flip_impact(net, x, y)
+        impacts = row_impacts(net, x, y)
 
         # Oracle via direct margin formula of the one-unit sign network:
         # hidden = sign(x.w - theta), score = hidden, loss = log1p(exp(-y*score)).
@@ -208,7 +213,7 @@ class TestFlipImpact:
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            flip_impact(MAJ3_NET, np.array([1.0, 1.0]), 1.0)
+            greedy_flips(MAJ3_NET, np.array([[1.0, 1.0]]), np.ones(1), 1)
 
 
 class TestJsma:

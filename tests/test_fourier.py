@@ -23,8 +23,6 @@ from fourierstab.fourier import (
     enumerate_cube,
     influence,
     mc_sample_count,
-    parity,
-    plancherel_inner,
     threshold_signs,
 )
 from fourierstab.network import Activation, BinaryMlp, fresh_mask
@@ -35,28 +33,6 @@ from fourierstab.neuron import (
     norm,
     robustness_exact,
 )
-
-
-class TestParity:
-    def test_empty_subset(self):
-        assert parity([], np.array([-1.0, 1.0])) == 1.0
-
-    def test_pair(self):
-        assert parity([0, 1], np.array([-1.0, 1.0])) == -1.0
-
-    def test_single(self):
-        assert parity([1], np.array([1.0, -1.0])) == -1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(DimensionError):
-            parity([2], np.array([1.0, -1.0]))
-
-    @given(st.integers(1, 8), st.data())
-    def test_product_of_selected_coordinates(self, n, data):
-        bits = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
-        subset = data.draw(st.sets(st.integers(0, n - 1)))
-        expected = math.prod(bits[i] for i in subset)
-        assert parity(subset, np.array(bits)) == expected
 
 
 class TestChowExact:
@@ -444,6 +420,16 @@ class TestInfluence:
             est = chow_exact(nrn.handle(), n)
             for i in range(n):
                 assert influence(nrn.handle(), i, n) == pytest.approx(abs(est.h_vec[i]), abs=1e-12)
+
+
+def plancherel_inner(f, g, n):
+    """E_x f(x)g(x) by enumeration of the cube: the function side of the Plancherel
+    identity, which chow_all's coefficients give as sum_S f^(S) g^(S)."""
+
+    def dot(X):
+        return np.asarray(f(X), dtype=np.float64) @ np.asarray(g(X), dtype=np.float64)
+
+    return float(fourier.cube_mean(dot, n))
 
 
 class TestPlancherel:

@@ -21,11 +21,11 @@ from fourierstab.neuron import (
     accuracy_bound_lp,
     accuracy_bound_p1,
     alpha_mu,
+    degree_one,
     disagreement_exact,
     distance_lp,
     folded_gaussian_mean,
     norm,
-    robustness_analytic,
     robustness_exact,
     sign_pm1,
     stabilize,
@@ -219,6 +219,13 @@ class TestDistance:
             for p in [1.0, 2.0, math.inf]:
                 closed = distance_lp(x, nrn, PNorm(p))
                 assert closed == pytest.approx(projection_oracle(x, nrn, p), abs=1e-6)
+
+
+def robustness_analytic(chow, nrn, p):
+    """(sum_i w_i h_i - h_empty*theta)/||w||_q: the coefficient side of the mean lp
+    distance to the boundary, robustness_exact's enumeration side when theta = 0."""
+    h_vec = degree_one(chow, nrn.n)
+    return (float(nrn.w @ h_vec) - chow.h_empty * nrn.theta) / norm(nrn.w, p.q)
 
 
 class TestRobustness:
