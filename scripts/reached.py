@@ -1,5 +1,6 @@
 """List the functions and methods of src/fourierstab that neither the acceptance
-criteria nor the benchmark's workloads enter.
+criteria nor the benchmark's workloads enter, and the names its modules import
+and never use.
 
 Usage: python scripts/reached.py
 
@@ -14,9 +15,11 @@ body runs.
 
 Standard output is every top-level function and every method of a top-level class
 of src/fourierstab/*.py that is not entered, as `module.name` or
-`module.Class.name`, one a line; pytest's and the benchmark's own output goes to
-standard error. It exits 1 if a criterion or a benchmark command failed, since
-the audit would then be incomplete, and 0 otherwise. It writes nothing in the
+`module.Class.name`, one a line, then every name that a module imports at top
+level and never reads, as `module.name (unused import)`; a line marked `# noqa:
+F401` is a deliberate re-export and is skipped. pytest's and the benchmark's own
+output goes to standard error. It exits 1 if a criterion or a benchmark command
+failed, since the audit would then be incomplete, and 0 otherwise. It writes nothing in the
 repository: no bytecode, no pytest cache, and the benchmark works in a temporary
 directory.
 """
@@ -87,6 +90,22 @@ def definitions(path: Path):
                 yield prefix + fn.name, range(fn.body[docstring].lineno, fn.end_lineno + 1)
 
 
+def unused_imports(path: Path):
+    """Each name a top-level import of the module binds that no expression of it reads."""
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield name
+
+
 def audit() -> int:
     """Run everything under the tracer; returns the number of failed criteria and commands."""
     failed = 0
@@ -117,6 +136,9 @@ def main() -> int:
         for name, lines in definitions(path):
             if not any((path, line) in ran for line in lines):
                 print(f"{path.stem}.{name}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in unused_imports(path):
+            print(f"{path.stem}.{name} (unused import)")
     if failed:
         print(f"{failed} failures in the acceptance run or the benchmark's commands: the list is incomplete",
               file=sys.stderr)

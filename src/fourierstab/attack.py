@@ -56,9 +56,11 @@ class AttackOutcome:
     final_label: float
 
 
-# Single-flip variants evaluated per chunk of rows: a chunk holds
-# _CHUNK_VARIANTS // n rows, so peak memory stays bounded whatever the batch.
+# A block of rows holds _CHUNK_VARIANTS // n rows, fewer (but at least one) where
+# its (rows, n, t) variant buffer would pass _CHUNK_CELLS float64s, 32 MiB: peak
+# memory stays bounded whatever the batch and the width.
 _CHUNK_VARIANTS = 4096
+_CHUNK_CELLS = 1 << 22
 
 # Threads that run greedy_flips' row blocks: the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -122,9 +124,10 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, 
     the row stops. Given clean, the +-1 predictions of X's rows, row i stops
     at the first flip after which its prediction differs from clean[i], and
     changed[i] is that flip's number, 0 if none; without it changed is all 0.
-    Blocks of _CHUNK_VARIANTS // n rows run in parallel on every CPU of the
-    affinity mask, each with its own variant buffer of about 8 * _CHUNK_VARIANTS
-    * t bytes; the outputs are the same on any number of CPUs.
+    Blocks of min(_CHUNK_VARIANTS // n, _CHUNK_CELLS // (n * t)) rows, at least
+    one, run in parallel on every CPU of the affinity mask, each with its own
+    variant buffer of at most 8 * _CHUNK_CELLS bytes unless one row's n * t
+    cells pass that; the outputs are the same on any number of CPUs.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -139,7 +142,7 @@ def greedy_flips(net: BinaryMlp, X, y, k: int, clean=None) -> tuple[np.ndarray, 
     rounds = max(0, min(k, n))
     order = np.full((m, rounds), -1, dtype=np.intp)
     changed = np.zeros(m, dtype=np.intp)
-    step = max(1, _CHUNK_VARIANTS // n)
+    step = max(1, min(_CHUNK_VARIANTS // n, _CHUNK_CELLS // (n * net.t)))
 
     def block(lo: int) -> None:
         Z, yc = X[lo : lo + step].copy(), y[lo : lo + step]

@@ -9,6 +9,7 @@ import pytest
 
 from fourierstab import attack
 from fourierstab.attack import (
+    _CHUNK_CELLS,
     _CHUNK_VARIANTS,
     AdvTrainConfig,
     AttackBudget,
@@ -434,6 +435,23 @@ class TestParallelBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= workers * 1.25 * step * n * t * 8
+
+    def test_a_wide_model_gets_fewer_rows_per_block(self, rng, monkeypatch):
+        # At t = 4096 a block of _CHUNK_VARIANTS // n rows would hold a 128 MiB variant
+        # buffer, so it is cut to _CHUNK_CELLS cells. Its (rows, t) pre-activations add 1/n.
+        n, t = 8, 4096
+        net = random_mlp(rng, n, t=t)
+        X = rng.choice([-1.0, 1.0], size=(_CHUNK_VARIANTS // n, n))
+        y = rng.choice([-1.0, 1.0], size=len(X))
+        monkeypatch.setattr(attack, "_WORKERS", 1)
+        greedy_flips(net, X[:2], y[:2], 1)
+        tracemalloc.start()
+        try:
+            greedy_flips(net, X, y, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * _CHUNK_CELLS * 8
 
 
 class TestJsmaMaxloss:

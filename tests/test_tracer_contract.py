@@ -5,16 +5,23 @@ example through a container built at import time, shows up as a span that is
 never recorded."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fourierstab
 from fourierstab import cli
+from fourierstab.network import BinaryMlp
+from fourierstab.neuron import LinearThresholdNeuron
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(cli.__file__).resolve().parents[1]
+# The modules tracing.install looks up in sys.modules right after `import fourierstab.cli`.
+TRACED_MODULES = {f"fourierstab.{name}" for name in ("fourier", "network", "neuron", "selection", "attack", "uniformize")}
 
 
 @pytest.fixture()
@@ -50,7 +57,7 @@ def _bindings():
     """Every module attribute of the package, and the two methods the tracer patches."""
     mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "fourierstab"]
     out = {(m.__name__, attr): value for m in mods for attr, value in vars(m).items()}
-    for cls in (fourierstab.BinaryMlp, fourierstab.LinearThresholdNeuron):
+    for cls in (BinaryMlp, LinearThresholdNeuron):
         out.update({(cls.__name__, attr): value for attr, value in vars(cls).items()})
     return out
 
@@ -73,3 +80,17 @@ def test_every_traced_function_records_spans_and_uninstall_restores_them(tracing
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def _submodules_after(statement: str) -> set[str]:
+    """The fourierstab.* modules a fresh interpreter has loaded after running statement."""
+    code = f"import json, sys; {statement}; print(json.dumps([m for m in sys.modules if m.startswith('fourierstab.')]))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_the_package_root_loads_no_module_and_the_cli_loads_every_traced_one():
+    # The root is a namespace: every name is imported from the module that defines it.
+    assert _submodules_after("import fourierstab") == set()
+    assert TRACED_MODULES <= _submodules_after("import fourierstab.cli")
