@@ -6,7 +6,10 @@ Boolean-valued handles return exactly +-1; real-valued handles (for example
 a sigmoid unit) may return anything in [-1, 1].
 
 Enumeration of the cube in canonical order and Monte-Carlo draws go in chunks
-from one rule, _chunks, and visit at most ROW_CAP rows.
+from one rule, _chunks, and visit at most ROW_CAP rows. A Monte-Carlo chunk is
+an even number of rows drawn as whole 64-bit generator words: bit 31 of each
+32-bit half, low half first, is the bit Generator.integers(0, 2) returns, so
+the samples are those of one integers draw of them all.
 
 _integer_form writes a threshold unit's (w, theta) as integers times one power
 of two: the one exact arithmetic for sign(x.w - theta). threshold_signs computes
@@ -41,10 +44,12 @@ ROW_CAP = 1 << 22
 _CHUNK_CELLS = 1 << 14
 
 
-def _chunks(m: int, n: int):
-    """(start, stop) spans of rows 0..m in order, for enumeration and Monte-Carlo
-    draws, each of at most _CHUNK_CELLS cells of n columns and of one row at least."""
-    step = max(1, _CHUNK_CELLS // max(n, 1))
+def _chunks(m: int, n: int, rows: int = 1):
+    """(start, stop) spans of rows 0..m in order, the last holding the rest, each of as
+    many rows as fit in _CHUNK_CELLS cells of n columns, rounded down to a multiple of
+    rows and at least rows. Enumeration and network.save_dataset take rows = 1;
+    Monte-Carlo draws take rows = 2, so that no chunk but the last ends inside a 64-bit word."""
+    step = max(rows, _CHUNK_CELLS // max(n, 1) // rows * rows)
     return ((start, min(start + step, m)) for start in range(0, m, step))
 
 
@@ -236,8 +241,11 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
 
     With probability >= 1-delta every coefficient estimate is within epsilon
     of the truth. Deterministic given the seed (an int or SeedSequence). The
-    samples are drawn in _chunks, which consume the generator's stream exactly
-    as one draw of all of them would.
+    samples are drawn in _chunks of an even number of rows, each as whole 64-bit
+    words of the generator's stream: sample bit i is bit 31 of the i-th 32-bit half,
+    low half first. For a range of 2, Generator.integers(0, 2) is Lemire's
+    multiply-shift of one such half (Lemire, ACM TOMACS 29(1), 2019), never rejects,
+    and returns that top bit, so the samples are those of one integers draw.
     When the bound asks for more than ROW_CAP samples, CapacityError is
     raised before any is drawn.
     """
@@ -250,10 +258,12 @@ def chow_mc(f, n: int, epsilon: float, delta: float, seed) -> ChowEstimate:
         raise CapacityError(
             f"epsilon={epsilon:g} needs {m:.3g} samples, over the sample cap {ROW_CAP}"
         )
-    rng = np.random.default_rng(seed)
+    bitgen = np.random.default_rng(seed).bit_generator
     total = 0.0
-    for start, stop in _chunks(m, n):
-        total = total + _chow_sum(f, 1.0 - 2.0 * rng.integers(0, 2, size=(stop - start, n)))
+    for start, stop in _chunks(m, n, rows=2):
+        cells = (stop - start) * n  # odd only in the last chunk, which ends inside a word
+        halves = bitgen.random_raw((cells + 1) // 2).astype("<u8", copy=False).view("<u4")
+        total = total + _chow_sum(f, 1.0 - 2.0 * (halves[:cells] >> 31).reshape(stop - start, n))
     h = total / m
     return ChowEstimate(
         n=n, h_empty=float(h[0]), h_vec=h[1:], mode="mc", epsilon=epsilon, delta=delta, samples=m

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .errors import DegenerateFunctionError, DimensionError, SchemaError
-from .fourier import ChowEstimate, ExactChow, MonteCarloChow, check_pm1, sign_pm1, threshold_signs
+from .fourier import ChowEstimate, ExactChow, MonteCarloChow, _chunks, check_pm1, sign_pm1, threshold_signs
 from .neuron import LinearThresholdNeuron, PNorm, norm, stabilize
 
 ChowSource = Union[ExactChow, MonteCarloChow]
@@ -216,13 +216,16 @@ def train_sgd(data: LabeledDataset, cfg: TrainConfig, perturb=None) -> BinaryMlp
                 net = BinaryMlp(W1, b1, act, W2, b2, fresh_mask(t))
                 Xb = perturb(net, Xb, yb)
             B = Xb.shape[0]
-            A = act.apply(Xb @ W1.T + b1)
+            Z = Xb @ W1.T
+            Z += b1
+            A = act.apply(Z, out=Z)
             g = _logistic_loss_grad(A @ W2 + b2 - mid, yb)
             dZ = (g[:, None] * W2[None, :]) * act.derivative(A)
+            # Sums divided by B: numpy's mean is add.reduce and one true divide by the count.
             W2 = W2 - lr * (g @ A) / B
-            b2 = b2 - lr * float(g.mean())
+            b2 = b2 - lr * float(g.sum() / B)
             W1 = W1 - lr * (dZ.T @ Xb) / B
-            b1 = b1 - lr * dZ.mean(axis=0)
+            b1 = b1 - lr * (dZ.sum(axis=0) / B)
     return BinaryMlp(
         W1=W1,
         b1=b1,
@@ -417,10 +420,24 @@ def load_model(path) -> BinaryMlp:
         return BinaryMlp(W1, b1, act, W2, b2, mask, seed_lineage=seed_lineage)
 
 
+def _dataset_blocks(ds: LabeledDataset):
+    """The CSV rows of ds as one string per fourier._chunks span of rows of n + 1 cells,
+    without its last newline, so a block's bytes (3 a cell) stay small whatever the number
+    of rows. Each cell is '+1' or '-1' by its sign, then ',' or, at a row's end, a newline."""
+    for start, stop in _chunks(ds.m, ds.n + 1):
+        X, y = ds.X[start:stop], ds.y[start:stop]
+        cells = np.empty((stop - start, ds.n + 1, 3), dtype=np.uint8)
+        cells[:, :-1, 0] = np.where(X > 0, ord("+"), ord("-"))
+        cells[:, -1, 0] = np.where(y > 0, ord("+"), ord("-"))
+        cells[..., 1] = ord("1")
+        cells[..., 2] = ord(",")
+        cells[:, -1, 2] = ord("\n")
+        yield cells.tobytes()[:-1].decode("ascii")
+
+
 def save_dataset(ds: LabeledDataset, path, header: Optional[str] = None) -> None:
     """CSV after an optional header line: 'n=<n>', then n +-1 feature columns and one label column."""
-    rows = (",".join(["+1" if v > 0 else "-1" for v in x.tolist() + [label]]) for x, label in zip(ds.X, ds.y))
-    write_lines(path, itertools.chain([f"n={ds.n}"], rows), header)
+    write_lines(path, itertools.chain([f"n={ds.n}"], _dataset_blocks(ds)), header)
 
 
 def load_dataset(path, split: str = "train") -> LabeledDataset:

@@ -369,8 +369,8 @@ class TestChowMc:
         np.testing.assert_array_equal(est.h_vec, (fx @ X) / m)
 
     def test_odd_width_chunks_replay_one_draw(self):
-        # n = 17: every chunk holds an odd number of cells, so chunk edges
-        # fall inside the generator's 64-bit words.
+        # n = 17, an odd width: each chunk is an even number of rows (962, one
+        # fewer than fit in 2^14 cells), so its cells fill whole 64-bit words.
         n, rows = 17, []
         f = random_ltf(np.random.default_rng(5), n).handle()
 
@@ -383,6 +383,27 @@ class TestChowMc:
         assert est.samples == m == sum(rows) and len(rows) >= 5
         assert max(rows) <= (1 << 14) // n
         rng = np.random.default_rng(21)
+        X = 1.0 - 2.0 * rng.integers(0, 2, size=(m, n))
+        fx = f(X)
+        assert est.h_empty == float(fx.sum()) / m
+        np.testing.assert_array_equal(est.h_vec, (fx @ X) / m)
+
+    @pytest.mark.parametrize("n, epsilon, delta", [(3, 0.013, 0.01), (8193, 1.0, 0.5)])
+    def test_chunks_are_whole_words_and_replay_one_draw(self, n, epsilon, delta):
+        # n = 3 with an odd sample count: the last chunk ends inside a word.
+        # n = 8193 > 2^13: two rows, over 2^14 cells, make a chunk.
+        m = mc_sample_count(n, epsilon, delta)
+        f, rows = random_ltf(np.random.default_rng(7), n).handle(), []
+
+        def g(X):
+            rows.append(X.shape[0])
+            return f(X)
+
+        est = chow_mc(g, n, epsilon, delta, seed=13)
+        assert est.samples == m == sum(rows) and len(rows) >= 3
+        assert all(r % 2 == 0 for r in rows[:-1]) and max(rows) == max(2, (1 << 14) // n // 2 * 2)
+        assert (m * n % 2 == 1) == (n == 3)
+        rng = np.random.default_rng(13)
         X = 1.0 - 2.0 * rng.integers(0, 2, size=(m, n))
         fx = f(X)
         assert est.h_empty == float(fx.sum()) / m

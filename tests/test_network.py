@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import LTF_KINDS, ltf_units
 from fourierstab.errors import DegenerateFunctionError, DimensionError, SchemaError
-from fourierstab.fourier import ExactChow, cube_chunk, threshold_signs
+from fourierstab.fourier import _CHUNK_CELLS, ExactChow, cube_chunk, threshold_signs
 from fourierstab.network import (
     Activation,
     BinaryMlp,
@@ -542,6 +542,38 @@ class TestSerialization:
         path = tmp_path / "data.csv"
         save_dataset(data, path, "# config: cmd=golden")
         assert path.read_bytes() == b"# config: cmd=golden\nn=3\n+1,-1,+1,+1\n-1,-1,+1,-1\n"
+
+    @staticmethod
+    def rendered_rows(ds):
+        """The per-row rendering the block writer replaced, kept as its oracle."""
+        return [",".join(["+1" if v > 0 else "-1" for v in x.tolist() + [label]]) for x, label in zip(ds.X, ds.y)]
+
+    @pytest.mark.parametrize("header", [None, "# config: cmd=blocks"])
+    @pytest.mark.parametrize("n", [1, 2, 24, (1 << 14) - 1, 1 << 14])
+    def test_dataset_blocks_match_per_row_rendering(self, rng, tmp_path, n, header):
+        # Rows per block of 2^14 cells; from n + 1 >= 2^14 cells on a block is one row.
+        assert _CHUNK_CELLS == 1 << 14
+        step = max(1, _CHUNK_CELLS // (n + 1))
+        path = tmp_path / "data.csv"
+        for m in sorted({m for m in (1, step - 1, step, step + 1, 3 * step) if m >= 1}):
+            ds = LabeledDataset(rng.choice([-1.0, 1.0], size=(m, n)), rng.choice([-1.0, 1.0], size=m))
+            save_dataset(ds, path, header)
+            lines = ([] if header is None else [header]) + [f"n={n}"] + self.rendered_rows(ds)
+            assert path.read_bytes() == "".join(ln + "\n" for ln in lines).encode()
+
+    @pytest.mark.parametrize("m", [20000, 200000])
+    def test_dataset_writer_memory_does_not_grow_with_rows(self, rng, tmp_path, m):
+        ds = LabeledDataset(rng.choice([-1.0, 1.0], size=(m, 24)), rng.choice([-1.0, 1.0], size=m))
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            save_dataset(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == len("n=24\n") + m * 25 * 3
+        assert peak < 1 << 20
 
     def test_dataset_schema_errors(self, tmp_path):
         p = tmp_path / "d.csv"
